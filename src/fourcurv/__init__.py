@@ -10,12 +10,11 @@ integrands), verdict (the pinching constant and the two main decision
 procedures), models (exact homogeneous examples and pinched sample
 generation), cli (command-line front end).
 """
-from .errors import (BudgetTooSmall, CurvatureError, DegenerateForm,
-                     InconsistentInputs, InvalidSymmetry, NonOrthonormalInput,
-                     NonPositiveInput, NonPositiveParam,
-                     NonPositiveScalarCurvature, NonUnitInput, NotHomogeneous,
-                     PinchingNotVerified, SamplingExhausted, UnknownModel,
-                     WrongDuality)
+from .errors import (CurvatureError, DegenerateForm, InconsistentInputs,
+                     InvalidSymmetry, NonOrthonormalInput, NonPositiveInput,
+                     NonPositiveParam, NonPositiveScalarCurvature,
+                     NonUnitInput, NotHomogeneous, PinchingNotVerified,
+                     SamplingExhausted, UnknownModel, WrongDuality)
 from .forms import (ASD_BASIS, BLOCK_BASIS, SD_BASIS, STAR_MATRIX, Form2,
                     Frame4, Plane2, asd_coords, asd_form, complement,
                     form_matrix, hodge_star, plane_from_sd_asd,
@@ -26,10 +25,10 @@ from .invariants import (IntegrandValues, fg_value, gbc_integrand,
                          signature_integrand)
 from .models import ModelSpace, model, model_names, pinched_sample
 from .reporting import CheckReport
-from .scan import (DEFAULT_BUDGET, SCAN_ACCURACY, PinchingReport, ScanBudget,
-                   batch_biorthogonal, batch_sectional, biorthogonal,
-                   k1perp_closed_form, k3perp_closed_form, operator_blocks,
-                   random_frames, scan_extremes, seaman_check, sectional)
+from .scan import (SCAN_ACCURACY, PinchingReport, batch_biorthogonal,
+                   batch_sectional, biorthogonal, k1perp_closed_form,
+                   k3perp_closed_form, operator_blocks, random_frames,
+                   scan_extremes, seaman_check, sectional)
 from .tensor import (CurvatureDecomposition, CurvatureOperator, RiemannTensor,
                      SymmetryReport, assemble_operator, decompose,
                      load_tensor, operator_from_tensor,

@@ -24,7 +24,7 @@ from .forms import Form2
 from .invariants import homogeneous_invariants, integrand_values
 from .models import model, model_names, pinched_sample
 from .reporting import CheckReport
-from .scan import DEFAULT_BUDGET, SCAN_ACCURACY, scan_extremes, seaman_check
+from .scan import SCAN_ACCURACY, scan_extremes, seaman_check
 from .tensor import (RiemannTensor, decompose, load_tensor,
                      random_algebraic_tensor, tensor_to_dict)
 from .verdict import CRITICAL_DELTA, critical_delta, theorem1_verdict, \
@@ -63,6 +63,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--input", metavar="PATH",
@@ -75,7 +85,7 @@ def build_parser() -> _Parser:
     common.add_argument("--a", type=float, help="S2xS2 first factor radius")
     common.add_argument("--b", type=float, help="S2xS2 second factor radius")
     common.add_argument("--L", type=float, help="FlatT4 side length")
-    common.add_argument("--samples", type=int, default=100)
+    common.add_argument("--samples", type=_positive_int, default=100)
     common.add_argument("--tol", type=float, default=None)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--lambda1", type=float, default=None,
@@ -140,9 +150,6 @@ def _echo(config: RunConfig, tol: float) -> dict:
         "seed": config.seed,
         "tol": tol,
         "scan_accuracy": SCAN_ACCURACY,
-        "budget": {"coarse": DEFAULT_BUDGET.coarse,
-                   "refine_top": DEFAULT_BUDGET.refine_top,
-                   "refine_steps": DEFAULT_BUDGET.refine_steps},
     }
 
 
@@ -186,6 +193,7 @@ def _scan_payload(report) -> dict:
                 "asd_unit": p.asd_unit.coeffs.tolist()}
     return {
         "k_min": report.k_min, "k_max": report.k_max,
+        "k_min_lower": report.k_min_lower, "k_max_upper": report.k_max_upper,
         "k1perp": report.k1perp, "k3perp": report.k3perp,
         "delta": report.delta,
         "argmin_plane": plane(report.argmin_plane),

@@ -25,10 +25,6 @@ class InvalidSymmetry(CurvatureError):
     """A curvature tensor violates one of its index symmetries."""
 
 
-class BudgetTooSmall(CurvatureError):
-    """Scan budget is below the documented resolution floor."""
-
-
 class DegenerateForm(CurvatureError):
     """A 2-form is too small to normalize or to adapt a frame to."""
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NonPositiveParam, SamplingExhausted, UnknownModel
 from .forms import BLOCK_BASIS
-from .scan import ScanBudget, scan_extremes
+from .scan import scan_extremes
 from .tensor import (RiemannTensor, _tensor_from_matrix,
                      random_algebraic_tensor)
 
@@ -160,15 +160,14 @@ def _weyl_only_noise(rng: np.random.Generator, scale: float) -> np.ndarray:
 def pinched_sample(seed: int, delta_target: float = 0.85,
                    w_perturbation_scale: float = 0.02,
                    weyl_only: bool = False,
-                   budget: ScanBudget | None = None,
                    max_attempts: int = 64) -> RiemannTensor:
     """Random tensor with scan-verified sectional range [delta_target, 1].
 
     Blends the unit-sphere tensor with a symmetry-projected perturbation,
     rescales so the scanned maximum is 1, and rejects until the scanned
-    minimum clears delta_target.  Deterministic per seed.  The scan is
-    exactly degree-one in the tensor, so one scan per attempt decides
-    both the rescaling and the acceptance.
+    minimum clears delta_target.  Deterministic per seed.  The scanned
+    extremes are homogeneous of degree one in the tensor, so one scan per
+    attempt decides both the rescaling and the acceptance.
     """
     if not 0.0 < delta_target <= 1.0:
         raise ValueError(f"delta_target must lie in (0, 1], "
@@ -181,7 +180,7 @@ def pinched_sample(seed: int, delta_target: float = 0.85,
         else:
             noise = w_perturbation_scale * random_algebraic_tensor(rng).components
         R = RiemannTensor(base + noise)
-        report = scan_extremes(R, budget)
+        report = scan_extremes(R)
         if report.k_max <= 0:
             continue
         if report.k_min / report.k_max < delta_target:

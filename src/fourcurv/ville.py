@@ -14,9 +14,10 @@ statement prints the first term with the opposite sign on lambda_i-/2.
 Both are computed, the proof version is the default everywhere, and the
 discrepancy is reported rather than resolved.
 
-All checks here verify pinching first through the plane scan, allowing
-the scan accuracy as margin; they refuse to run otherwise, because the
-underlying lemmas are simply false without the hypothesis.
+All checks here verify pinching first through the certified bounds of
+the plane scan, allowing SCAN_ACCURACY as margin; they refuse to run
+otherwise, because the underlying lemmas are simply false without the
+hypothesis.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import PinchingNotVerified
 from .invariants import fg_value
 from .reporting import CheckReport
-from .scan import SCAN_ACCURACY, PinchingReport, ScanBudget, scan_extremes
+from .scan import SCAN_ACCURACY, PinchingReport, scan_extremes
 from .tensor import (CurvatureDecomposition, RiemannTensor, assemble_operator,
                      decompose, tensor_from_operator)
 
@@ -93,24 +94,24 @@ def ville_data(dec: CurvatureDecomposition, delta: float) -> VilleData:
 
 def _verify_pinching(dec: CurvatureDecomposition | None, delta: float,
                      scan: PinchingReport | None,
-                     budget: ScanBudget | None,
                      tensor: RiemannTensor | None = None) -> PinchingReport:
-    """Scan-based precondition: K <= 1 and K >= delta up to scan accuracy."""
+    """Precondition K <= 1 and K >= delta on the certified scan bounds."""
     if scan is None:
         if tensor is None:
             tensor = tensor_from_operator(assemble_operator(dec))
-        scan = scan_extremes(tensor, budget)
-    if scan.k_max > 1.0 + SCAN_ACCURACY:
-        raise PinchingNotVerified(f"k_max = {scan.k_max:.9g} exceeds 1")
-    if scan.k_min < delta - SCAN_ACCURACY:
+        scan = scan_extremes(tensor)
+    if scan.k_max_upper > 1.0 + SCAN_ACCURACY:
         raise PinchingNotVerified(
-            f"k_min = {scan.k_min:.9g} below requested delta = {delta:.9g}")
+            f"k_max <= {scan.k_max_upper:.9g} is not certified below 1")
+    if scan.k_min_lower < delta - SCAN_ACCURACY:
+        raise PinchingNotVerified(
+            f"k_min >= {scan.k_min_lower:.9g} is not certified above "
+            f"delta = {delta:.9g}")
     return scan
 
 
 def operator_bound_check(R: RiemannTensor, delta: float, n_planes: int = 1000,
                          seed: int = 0, tol: float = 1e-9,
-                         budget: ScanBudget | None = None,
                          scan: PinchingReport | None = None) -> CheckReport:
     """delta <= <(U+W)P, P> <= 1 on random planes, under verified pinching.
 
@@ -118,7 +119,7 @@ def operator_bound_check(R: RiemannTensor, delta: float, n_planes: int = 1000,
     on the same self-dual samples.  Pass a precomputed scan to skip the
     verification rescan.
     """
-    _verify_pinching(None, delta, scan, budget, tensor=R)
+    _verify_pinching(None, delta, scan, tensor=R)
     dec = decompose(R)
     A = dec.wplus + dec.u * np.eye(3)
     C = dec.wminus + dec.u * np.eye(3)
@@ -149,10 +150,9 @@ def operator_bound_check(R: RiemannTensor, delta: float, n_planes: int = 1000,
 def znorm_bound_check(dec: CurvatureDecomposition, delta: float,
                       tol: float = 1e-9,
                       use_statement_bound: bool = False,
-                      budget: ScanBudget | None = None,
                       scan: PinchingReport | None = None) -> CheckReport:
     """||Z||^2 <= 2 sum A_i^2 with ||Z||^2 = 2 sum z_i^2 (block plus adjoint)."""
-    _verify_pinching(dec, delta, scan, budget)
+    _verify_pinching(dec, delta, scan)
     vd = ville_data(dec, delta)
     lhs = 2.0 * float((vd.z ** 2).sum())
     lhs_block = 2.0 * float((dec.z_block ** 2).sum())
@@ -179,14 +179,13 @@ def znorm_bound_check(dec: CurvatureDecomposition, delta: float,
 
 
 def deg_lower_bound(dec: CurvatureDecomposition, delta: float,
-                    budget: ScanBudget | None = None,
                     scan: PinchingReport | None = None) -> tuple[float, float]:
     """(F(g), lower bound) for the Theorem 1 integrand; contract fg >= bound.
 
     bound = (10/9)(sum v)^2 - (4/3) sum v^2 + (7/2) alpha^2
             - 2 sum min((1 - v_i - lambda_i-/2)^2, (v_i + lambda_i-/2 - delta)^2).
     """
-    _verify_pinching(dec, delta, scan, budget)
+    _verify_pinching(dec, delta, scan)
     vd = ville_data(dec, delta)
     v, lam = vd.v, vd.lambda_minus
     bound = ((10.0 / 9.0) * v.sum() ** 2 - (4.0 / 3.0) * (v ** 2).sum()

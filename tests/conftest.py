@@ -23,8 +23,8 @@ def model_scans(models):
 def pinched_batch():
     """100 scan-verified pinched samples with their decompositions and scans.
 
-    Session-scoped because generation costs two scans per sample; the ville
-    tests use a few entries and the acceptance suite uses all of them.
+    Session-scoped because the ville tests use a few entries and the
+    acceptance suite uses all of them.
     """
     out = []
     for seed in range(100):

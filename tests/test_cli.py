@@ -1,4 +1,6 @@
 import json
+import os
+import shutil
 import subprocess
 import sys
 
@@ -190,8 +192,29 @@ def test_weitzenbock_command(capsys):
     assert payload["lemma1"]["passed"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "ville", "--samples", "0"),
+    ("check", "deg", "--samples", "0"),
+    ("check", "lemma1", "--samples", "-1"),
+    ("check", "seaman", "--samples", "0"),
+])
+def test_non_positive_samples_rejected(capsys, argv):
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert "--samples" in captured.err
+    assert captured.out == ""
+
+
 def test_console_script():
-    proc = subprocess.run(["fourcurv", "delta-star"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert "0.049038105" in proc.stdout
+    # python -m fourcurv always; the installed executable when there is one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fc.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    commands = [[sys.executable, "-m", "fourcurv", "delta-star"]]
+    if shutil.which("fourcurv"):
+        commands.append(["fourcurv", "delta-star"])
+    for argv in commands:
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert "0.049038105" in proc.stdout

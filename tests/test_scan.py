@@ -127,18 +127,71 @@ def test_rotation_invariance_of_scan(rng):
     a = fc.scan_extremes(R)
     rotated = fc.rotate_tensor(R, fc.random_frame(rng).columns)
     b = fc.scan_extremes(rotated)
-    for field in ("k_min", "k_max", "k1perp", "k3perp"):
-        assert abs(getattr(b, field) - getattr(a, field)) < 1e-6
+    norm = np.linalg.norm(fc.operator_from_tensor(R).matrix)
+    for field in ("k_min", "k_max", "k1perp", "k3perp",
+                  "k_min_lower", "k_max_upper"):
+        assert abs(getattr(b, field) - getattr(a, field)) < 1e-12 * norm
 
 
-def test_budget_floors():
-    R = fc.model("S4").tensor
-    with pytest.raises(fc.BudgetTooSmall):
-        fc.scan_extremes(R, fc.ScanBudget(coarse=4))
-    with pytest.raises(fc.BudgetTooSmall):
-        fc.scan_extremes(R, fc.ScanBudget(refine_top=0))
-    with pytest.raises(fc.BudgetTooSmall):
-        fc.scan_extremes(R, fc.ScanBudget(refine_steps=5))
+def _unit_rows(rng, n):
+    x = rng.normal(size=(n, 3))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def test_dual_certificate(models):
+    # the dual bounds bracket the attained extremes to 1e-12 |M|, and 10^4
+    # random planes per tensor, an independent primal oracle, lie inside
+    rng = np.random.default_rng(3)
+    tensors = [ms.tensor for ms in models.values()]
+    tensors += [fc.random_algebraic_tensor(rng, scale=scale)
+                for scale in 10.0 ** rng.uniform(-3.0, 3.0, size=200)]
+    for R in tensors:
+        scan = fc.scan_extremes(R)
+        tol = 1e-12 * np.linalg.norm(fc.operator_from_tensor(R).matrix)
+        assert scan.k_min_lower <= scan.k_min <= scan.k_min_lower + tol
+        assert scan.k_max_upper - tol <= scan.k_max <= scan.k_max_upper
+        vals = fc.batch_sectional(R, _unit_rows(rng, 10_000),
+                                  _unit_rows(rng, 10_000))
+        assert scan.k_min_lower <= vals.min()
+        assert vals.max() <= scan.k_max_upper
+    # exact where the dual optimum sits on a kink at t = 0 with a 6-fold
+    # eigenvalue (S4), and on the zero operator (flat)
+    cases = [(fc.model("S4", r=r).tensor, 1.0 / r ** 2) for r in (0.5, 1.0, 3.0)]
+    cases.append((fc.model("FlatT4").tensor, 0.0))
+    for R, k in cases:
+        scan = fc.scan_extremes(R)
+        tol = 1e-15 * max(1.0, np.linalg.norm(fc.operator_from_tensor(R).matrix))
+        for field in ("k_min", "k_max", "k1perp", "k3perp"):
+            assert abs(getattr(scan, field) - k) <= tol
+        assert scan.k_min_lower <= k <= scan.k_max_upper
+        assert abs(fc.sectional(R, scan.argmin_plane) - k) <= tol
+        assert abs(fc.sectional(R, scan.argmax_plane) - k) <= tol
+
+
+def test_scan_independent_of_eigenvector_signs(rng, monkeypatch):
+    # the balanced mix of the bracket-end eigenvectors must not depend on
+    # the arbitrary signs the eigensolver gives them
+    tensors = [fc.random_algebraic_tensor(rng) for _ in range(20)]
+    tensors.append(fc.model("S4").tensor)
+    reference = [fc.scan_extremes(R) for R in tensors]
+    real = np.linalg.eigh
+    signs = np.random.default_rng(1)
+
+    def flipped(m):
+        w, v = real(m)
+        return w, v * signs.choice([-1.0, 1.0], size=v.shape[-1])
+
+    monkeypatch.setattr(np.linalg, "eigh", flipped)
+    for R, ref in zip(tensors, reference):
+        scan = fc.scan_extremes(R)
+        tol = 1e-12 * np.linalg.norm(fc.operator_from_tensor(R).matrix)
+        for field in ("k_min", "k_max", "k_min_lower", "k_max_upper"):
+            assert abs(getattr(scan, field) - getattr(ref, field)) <= tol
+
+
+def test_scan_rejects_a_budget():
+    with pytest.raises(TypeError):
+        fc.scan_extremes(fc.model("S4").tensor, object())
 
 
 def test_delta_field(model_scans):

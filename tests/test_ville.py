@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -153,3 +155,16 @@ def test_pinching_precondition_enforced(model_decs, models):
     # delta above the verified floor also refuses
     with pytest.raises(fc.PinchingNotVerified):
         fc.znorm_bound_check(model_decs["S2xS2"], 0.5)
+
+
+def test_pinching_precondition_uses_certified_bounds(model_decs, model_scans):
+    # attained extremes inside [delta, 1] do not suffice when the dual
+    # bounds reach beyond the margin
+    s4 = model_scans["S4"]
+    loose_max = dataclasses.replace(s4, k_max_upper=1.0 + 2 * fc.SCAN_ACCURACY)
+    with pytest.raises(fc.PinchingNotVerified):
+        fc.znorm_bound_check(model_decs["S4"], 1.0, scan=loose_max)
+    loose_min = dataclasses.replace(s4, k_min_lower=1.0 - 2 * fc.SCAN_ACCURACY)
+    with pytest.raises(fc.PinchingNotVerified):
+        fc.deg_lower_bound(model_decs["S4"], 1.0, scan=loose_min)
+    fc.znorm_bound_check(model_decs["S4"], 1.0, scan=s4)
