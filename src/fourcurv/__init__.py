@@ -44,7 +44,7 @@ from .ville import (VilleData, deg_lower_bound, operator_bound_check,
                     ville_data, znorm_bound_check)
 from .weitzenbock import (WeitzenbockOperator, adapted_frame,
                           intermediate_identity_check, k3_bound_check,
-                          lemma1_check, lemma1_suite, weitzenbock_from_blocks,
-                          weitzenbock_operator)
+                          lemma1_check, lemma1_sides, lemma1_suite,
+                          weitzenbock_from_blocks, weitzenbock_operator)
 
 __version__ = "0.1.0"

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CurvatureError, PinchingNotVerified
-from .forms import Form2
 from .invariants import homogeneous_invariants, integrand_values
 from .models import model, model_names, pinched_sample
 from .reporting import CheckReport
@@ -30,7 +29,7 @@ from .tensor import (RiemannTensor, decompose, load_tensor,
 from .verdict import CRITICAL_DELTA, critical_delta, theorem1_verdict, \
     theorem2_verdict
 from .ville import deg_lower_bound, operator_bound_check, znorm_bound_check
-from .weitzenbock import (k3_bound_check, lemma1_check, lemma1_suite,
+from .weitzenbock import (k3_bound_check, lemma1_sides, lemma1_suite,
                           weitzenbock_operator)
 
 _CHECK_TOL = 1e-9
@@ -169,21 +168,16 @@ def _merge(name: str, reports) -> CheckReport:
     )
 
 
-def _lemma1_single(R: RiemannTensor, n_forms: int, seed: int,
-                   tol: float) -> CheckReport:
-    rng = np.random.default_rng(seed)
-    min_slack = np.inf
-    n_viol = 0
-    for _ in range(n_forms):
-        coeffs = rng.normal(size=6)
-        omega = Form2(coeffs / np.linalg.norm(coeffs))
-        lhs, rhs = lemma1_check(R, omega)
-        slack = lhs - rhs
-        min_slack = min(min_slack, slack)
-        if slack < -tol:
-            n_viol += 1
+def _lemma1_on(R: RiemannTensor, n_forms: int, seed: int,
+               tol: float) -> CheckReport:
+    """Lemma 1 on one tensor over n_forms seeded random unit forms."""
+    omegas = np.random.default_rng(seed).normal(size=(n_forms, 6))
+    lhs, rhs = lemma1_sides(R, omegas / np.linalg.norm(omegas, axis=1, keepdims=True))
+    slack = lhs - rhs
+    n_viol = int((slack < -tol).sum())
     return CheckReport(name="lemma1", passed=n_viol == 0, n_samples=n_forms,
-                       n_violations=n_viol, min_slack=float(min_slack))
+                       n_violations=n_viol,
+                       min_slack=float(slack.min(initial=np.inf)))
 
 
 def _scan_payload(report) -> dict:
@@ -254,12 +248,13 @@ def _dispatch(config: RunConfig) -> tuple[dict, list[str], int]:
     if cmd == "weitzenbock":
         R, _ = _source(config)
         N = weitzenbock_operator(R)
-        suite = _lemma1_single(R, config.samples, config.seed, tol)
+        eigs = np.linalg.eigvalsh(N.matrix)
+        suite = _lemma1_on(R, config.samples, config.seed, tol)
         payload.update({"matrix": N.matrix.tolist(),
-                        "eigenvalues": np.linalg.eigvalsh(N.matrix).tolist(),
+                        "eigenvalues": eigs.tolist(),
                         "lemma1": suite.as_dict()})
         lines += ["Weitzenbock operator on two-forms:", _mat(N.matrix),
-                  f"eigenvalues: {_vec(np.linalg.eigvalsh(N.matrix))}",
+                  f"eigenvalues: {_vec(eigs)}",
                   _report_line(suite)]
         return payload, lines, 0 if suite.passed else 2
 
@@ -371,7 +366,7 @@ def _run_check(suite: str, config: RunConfig, tol: float) -> list[CheckReport]:
 
     if suite == "lemma1":
         if R is not None:
-            return [_lemma1_single(R, config.samples, config.seed, tol)]
+            return [_lemma1_on(R, config.samples, config.seed, tol)]
         return [lemma1_suite(n_tensors=config.samples, n_forms=100,
                              seed=config.seed, tol=tol)]
 

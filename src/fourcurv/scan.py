@@ -46,9 +46,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import BLOCK_BASIS, Plane2, asd_form, complement, plane_from_sd_asd, sd_form
+from .forms import Plane2, asd_form, complement, plane_from_sd_asd, sd_form
 from .reporting import CheckReport
-from .tensor import CurvatureDecomposition, RiemannTensor, decompose, operator_from_tensor
+from .tensor import (CurvatureDecomposition, RiemannTensor, _block_frame, decompose,
+                     operator_from_tensor)
 
 # margin the pinching preconditions allow on the certified bounds, so that a
 # delta read off the scan itself (k_min / k_max, after rescaling k_max to 1)
@@ -113,7 +114,7 @@ def k3perp_closed_form(dec: CurvatureDecomposition) -> float:
 
 def operator_blocks(R: RiemannTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(A, B, C) blocks of the operator in the SD/ASD basis."""
-    mp = BLOCK_BASIS.T @ operator_from_tensor(R).matrix @ BLOCK_BASIS
+    mp = _block_frame(R)
     return mp[:3, :3], mp[:3, 3:], mp[3:, 3:]
 
 
@@ -182,7 +183,11 @@ def scan_extremes(R: RiemannTensor, budget: None = None) -> PinchingReport:
     """
     if budget is not None:
         raise TypeError("scan_extremes takes no budget; its extremes are exact")
-    mp = BLOCK_BASIS.T @ operator_from_tensor(R).matrix @ BLOCK_BASIS
+    return _scan_blocks(_block_frame(R))
+
+
+def _scan_blocks(mp: np.ndarray) -> PinchingReport:
+    """scan_extremes on the operator mp given in the block frame."""
     A, B, C = mp[:3, :3], mp[:3, 3:], mp[3:, 3:]
     norm = float(np.linalg.norm(mp))
 

@@ -28,6 +28,9 @@ from .forms import BLOCK_BASIS, PAIRS, STAR_MATRIX
 
 SYMMETRY_TOL = 1e-9
 
+# index arrays of the wedge basis: slot b holds e_I[b] ^ e_J[b]
+_I, _J = np.array(PAIRS).T
+
 
 @dataclass(frozen=True)
 class RiemannTensor:
@@ -51,7 +54,7 @@ class CurvatureOperator:
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    """Max residual of each index-symmetry class; valid iff all are small."""
+    """Max residual of each index-symmetry class; valid iff none exceeds tol."""
 
     antisym_first: float
     antisym_second: float
@@ -90,12 +93,14 @@ class CurvatureDecomposition:
 
 
 def validate_symmetries(R: RiemannTensor) -> SymmetryReport:
+    """Residuals of the index symmetries, tested against SYMMETRY_TOL max|R|."""
     c = R.components
     return SymmetryReport(
         antisym_first=float(np.abs(c + c.transpose(1, 0, 2, 3)).max()),
         antisym_second=float(np.abs(c + c.transpose(0, 1, 3, 2)).max()),
         pair_symmetry=float(np.abs(c - c.transpose(2, 3, 0, 1)).max()),
         bianchi=float(np.abs(c + c.transpose(0, 2, 3, 1) + c.transpose(0, 3, 1, 2)).max()),
+        tol=SYMMETRY_TOL * float(np.abs(c).max()),
     )
 
 
@@ -108,12 +113,12 @@ def _require_valid(R: RiemannTensor) -> None:
 def operator_from_tensor(R: RiemannTensor) -> CurvatureOperator:
     """Curvature operator on 2-forms in the wedge basis."""
     _require_valid(R)
-    c = R.components
-    m = np.empty((6, 6))
-    for b, (i, j) in enumerate(PAIRS):
-        for b2, (k, l) in enumerate(PAIRS):
-            m[b, b2] = c[i, j, k, l]
-    return CurvatureOperator(m)
+    return CurvatureOperator(R.components[_I[:, None], _J[:, None], _I, _J])
+
+
+def _block_frame(R: RiemannTensor) -> np.ndarray:
+    """The operator conjugated into the (H1,H2,H3,K1,K2,K3) block frame."""
+    return BLOCK_BASIS.T @ operator_from_tensor(R).matrix @ BLOCK_BASIS
 
 
 def tensor_from_operator(op: CurvatureOperator) -> RiemannTensor:
@@ -123,13 +128,11 @@ def tensor_from_operator(op: CurvatureOperator) -> RiemannTensor:
 
 def _tensor_from_matrix(m: np.ndarray) -> np.ndarray:
     c = np.zeros((4, 4, 4, 4))
-    for b, (i, j) in enumerate(PAIRS):
-        for b2, (k, l) in enumerate(PAIRS):
-            v = m[b, b2]
-            c[i, j, k, l] = v
-            c[j, i, k, l] = -v
-            c[i, j, l, k] = -v
-            c[j, i, l, k] = v
+    i, j, k, l = _I[:, None], _J[:, None], _I, _J
+    c[i, j, k, l] = m
+    c[j, i, k, l] = -m
+    c[i, j, l, k] = -m
+    c[j, i, l, k] = m
     return c
 
 
@@ -140,8 +143,7 @@ def ricci(R: RiemannTensor) -> np.ndarray:
 
 def decompose(R: RiemannTensor) -> CurvatureDecomposition:
     _require_valid(R)
-    m = operator_from_tensor(R)
-    mp = BLOCK_BASIS.T @ m.matrix @ BLOCK_BASIS
+    mp = _block_frame(R)
     ric = ricci(R)
     s = float(np.trace(ric))
     u = s / 12.0
@@ -163,12 +165,14 @@ def decompose(R: RiemannTensor) -> CurvatureDecomposition:
 
 def assemble_operator(dec: CurvatureDecomposition) -> CurvatureOperator:
     """Rebuild the operator from the blocks; inverse of decompose."""
-    blocks = np.zeros((6, 6))
-    blocks[:3, :3] = dec.wplus + dec.u * np.eye(3)
-    blocks[3:, 3:] = dec.wminus + dec.u * np.eye(3)
-    blocks[:3, 3:] = dec.z_block
-    blocks[3:, :3] = dec.z_block.T
-    return CurvatureOperator(BLOCK_BASIS @ blocks @ BLOCK_BASIS.T)
+    return CurvatureOperator(BLOCK_BASIS @ _blocks(dec) @ BLOCK_BASIS.T)
+
+
+def _blocks(dec: CurvatureDecomposition) -> np.ndarray:
+    """The operator in the block frame, [[W+ + uI, Z], [Z^T, W- + uI]]."""
+    eye = dec.u * np.eye(3)
+    return np.block([[dec.wplus + eye, dec.z_block],
+                     [dec.z_block.T, dec.wminus + eye]])
 
 
 def random_algebraic_tensor(seed, scale: float = 1.0) -> RiemannTensor:
@@ -189,10 +193,15 @@ def rotate_tensor(R: RiemannTensor, frame: np.ndarray) -> RiemannTensor:
     """Components of R in the frame whose vectors are the columns of `frame`.
 
     R'[a,b,c,d] = R(f_a, f_b, f_c, f_d).  For orthogonal frames this is the
-    usual change of orthonormal basis.
+    usual change of orthonormal basis; any frame is allowed.  The operator
+    is conjugated by the induced map on 2-forms,
+    L[(ij),(ab)] = f_ia f_jb - f_ja f_ib, as M' = L^T M L, which is exact
+    for every R antisymmetric in each index pair.
     """
     f = np.asarray(frame, dtype=float)
-    return RiemannTensor(np.einsum("ia,jb,kc,ld,ijkl->abcd", f, f, f, f, R.components))
+    i, j = _I[:, None], _J[:, None]
+    L = f[i, _I] * f[j, _J] - f[j, _I] * f[i, _J]
+    return RiemannTensor(_tensor_from_matrix(L.T @ R.components[i, j, _I, _J] @ L))
 
 
 # --- JSON interchange -------------------------------------------------------

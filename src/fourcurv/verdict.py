@@ -18,7 +18,7 @@ biorthogonal curvature clears s^2 / (24 (3 lambda_1 + s)).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (InconsistentInputs, NonPositiveInput,
                      NonPositiveScalarCurvature)
 from .invariants import fg_value
 from .scan import PinchingReport, k1perp_closed_form
-from .tensor import CurvatureDecomposition
+from .tensor import SYMMETRY_TOL, CurvatureDecomposition, assemble_operator
 from .ville import ville_data
 
 CRITICAL_DELTA = (3.0 * np.sqrt(3.0) - 5.0) / 4.0
@@ -145,7 +145,9 @@ def theorem1_verdict(dec: CurvatureDecomposition, scan: PinchingReport,
     [(3 sqrt(3) - 5)/4, 1] up to tol.  On acceptance the pointwise chain
     fg/2 >= f(v1,v2,v3) >= 0 is evaluated and recorded in the notes.
     """
-    if abs(k1perp_closed_form(dec) - scan.k1perp) > 1e-4:
+    # relative to max|R|, as in validate_symmetries
+    max_r = float(np.abs(assemble_operator(dec).matrix).max())
+    if abs(k1perp_closed_form(dec) - scan.k1perp) > SYMMETRY_TOL * max_r:
         raise InconsistentInputs(
             "decomposition and scan disagree on k1perp; not the same tensor?")
     scale = max(1.0, abs(dec.s) / 12.0)
@@ -157,11 +159,9 @@ def theorem1_verdict(dec: CurvatureDecomposition, scan: PinchingReport,
         half_flat = True
     elif wp_norm <= tol * scale:
         half_flat = True
-        work = CurvatureDecomposition(
-            s=dec.s, u=dec.u, ric=dec.ric, ric0=dec.ric0,
-            wplus=dec.wminus, wminus=dec.wplus,
-            z_block=dec.z_block.T.copy(),
-            wp_eigs=dec.wm_eigs, wm_eigs=dec.wp_eigs)
+        work = replace(dec, wplus=dec.wminus, wminus=dec.wplus,
+                       z_block=dec.z_block.T.copy(),
+                       wp_eigs=dec.wm_eigs, wm_eigs=dec.wp_eigs)
         notes.append("orientation flipped: W+ vanishes, W- does not "
                      "(signature integrand changes sign)")
     else:

@@ -29,9 +29,8 @@ import numpy as np
 from .errors import PinchingNotVerified
 from .invariants import fg_value
 from .reporting import CheckReport
-from .scan import SCAN_ACCURACY, PinchingReport, scan_extremes
-from .tensor import (CurvatureDecomposition, RiemannTensor, assemble_operator,
-                     decompose, tensor_from_operator)
+from .scan import SCAN_ACCURACY, PinchingReport, _scan_blocks
+from .tensor import CurvatureDecomposition, RiemannTensor, _blocks, decompose
 
 _ZERO_IMAGE = 1e-13
 
@@ -92,14 +91,11 @@ def ville_data(dec: CurvatureDecomposition, delta: float) -> VilleData:
     )
 
 
-def _verify_pinching(dec: CurvatureDecomposition | None, delta: float,
-                     scan: PinchingReport | None,
-                     tensor: RiemannTensor | None = None) -> PinchingReport:
-    """Precondition K <= 1 and K >= delta on the certified scan bounds."""
+def _verify_pinching(dec: CurvatureDecomposition, delta: float,
+                     scan: PinchingReport | None) -> PinchingReport:
+    """Precondition K <= 1 and K >= delta on the certified bounds of a scan of dec."""
     if scan is None:
-        if tensor is None:
-            tensor = tensor_from_operator(assemble_operator(dec))
-        scan = scan_extremes(tensor)
+        scan = _scan_blocks(_blocks(dec))
     if scan.k_max_upper > 1.0 + SCAN_ACCURACY:
         raise PinchingNotVerified(
             f"k_max <= {scan.k_max_upper:.9g} is not certified below 1")
@@ -119,8 +115,8 @@ def operator_bound_check(R: RiemannTensor, delta: float, n_planes: int = 1000,
     on the same self-dual samples.  Pass a precomputed scan to skip the
     verification rescan.
     """
-    _verify_pinching(None, delta, scan, tensor=R)
     dec = decompose(R)
+    _verify_pinching(dec, delta, scan)
     A = dec.wplus + dec.u * np.eye(3)
     C = dec.wminus + dec.u * np.eye(3)
     rng = np.random.default_rng(seed)

@@ -7,9 +7,10 @@ plus a curvature term,
                    - 2 R_ijkl,
 
 with the overall sign pinned so the unit round sphere gives 4 * Id (all
-sectional curvatures 1 in the proof expansion).  An equivalent route,
-N = (s/3) Id - 2 (W+ (+) W-), is computed from the block decomposition
-and kept as an independent cross-check; the two must agree to rounding.
+sectional curvatures 1 in the proof expansion).  In terms of the
+curvature operator M this is N = tr(M) Id - M - *M*, which is how it is
+computed; in the block frame it is N = (s/3) Id - 2 (W+ (+) W-), the
+second route, computed from a decomposition.
 
 The lower bound checked here:
 
@@ -22,12 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateForm
-from .forms import (BLOCK_BASIS, Form2, Frame4, PAIRS, STAR_MATRIX,
-                    plane_from_sd_asd, plane_vectors, sd_asd_split)
+from .forms import (BLOCK_BASIS, Form2, Frame4, STAR_MATRIX, plane_from_sd_asd,
+                    plane_vectors, sd_asd_split)
 from .reporting import CheckReport
 from .scan import k1perp_closed_form, k3perp_closed_form
-from .tensor import (CurvatureDecomposition, RiemannTensor, _require_valid,
-                     decompose, random_algebraic_tensor, ricci, rotate_tensor)
+from .tensor import (CurvatureDecomposition, RiemannTensor, decompose,
+                     operator_from_tensor, random_algebraic_tensor, rotate_tensor)
 
 
 @dataclass(frozen=True)
@@ -38,39 +39,40 @@ class WeitzenbockOperator:
 
 
 def weitzenbock_operator(R: RiemannTensor) -> WeitzenbockOperator:
-    """Evaluate the defining bilinear expression on all basis pairs."""
-    _require_valid(R)
-    ric = ricci(R)
-    c = R.components
-    d = np.eye(4)
-    m = np.empty((6, 6))
-    for b, (i, j) in enumerate(PAIRS):
-        for b2, (k, l) in enumerate(PAIRS):
-            m[b, b2] = (ric[i, k] * d[j, l] + ric[j, l] * d[i, k]
-                        - ric[i, l] * d[j, k] - ric[j, k] * d[i, l]
-                        - 2.0 * c[i, j, k, l])
-    return WeitzenbockOperator(m)
+    """N = tr(M) Id - M - *M*, the defining bilinear expression in closed form."""
+    m = operator_from_tensor(R).matrix
+    return WeitzenbockOperator(np.trace(m) * np.eye(6) - m - STAR_MATRIX @ m @ STAR_MATRIX)
 
 
 def weitzenbock_from_blocks(dec: CurvatureDecomposition) -> WeitzenbockOperator:
-    """Independent route N = (s/3) Id - 2 (W+ (+) W-), used as a cross-check."""
+    """Second route N = (s/3) Id - 2 (W+ (+) W-), from a decomposition."""
     blocks = np.zeros((6, 6))
     blocks[:3, :3] = (dec.s / 3.0) * np.eye(3) - 2.0 * dec.wplus
     blocks[3:, 3:] = (dec.s / 3.0) * np.eye(3) - 2.0 * dec.wminus
     return WeitzenbockOperator(BLOCK_BASIS @ blocks @ BLOCK_BASIS.T)
 
 
+def lemma1_sides(R: RiemannTensor, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) of the Weitzenbock lower bound for each row of `omegas`.
+
+    omegas is a stack (n, 6) of wedge coefficients.  Forms are taken as
+    given, not normalized, so the zero form gives (0, 0).
+    """
+    dec = decompose(R)
+    k1p = k1perp_closed_form(dec)
+    nw = weitzenbock_from_blocks(dec).matrix
+    star = omegas @ STAR_MATRIX
+    ap2 = ((0.5 * (omegas + star)) ** 2).sum(axis=1)
+    am2 = ((0.5 * (omegas - star)) ** 2).sum(axis=1)
+    lhs = np.einsum("ni,ij,nj->n", omegas, nw, omegas)
+    rhs = 4.0 * k1p * (ap2 + am2) - (dec.s - 12.0 * k1p) / 3.0 * np.abs(ap2 - am2)
+    return lhs, rhs
+
+
 def lemma1_check(R: RiemannTensor, omega: Form2) -> tuple[float, float]:
     """(lhs, rhs) of the Weitzenbock lower bound; contract lhs >= rhs."""
-    nw = weitzenbock_operator(R).matrix
-    k1p = k1perp_closed_form(decompose(R))
-    s = float(np.trace(ricci(R)))
-    plus, minus = sd_asd_split(omega)
-    ap2 = plus.norm ** 2
-    am2 = minus.norm ** 2
-    lhs = float(omega.coeffs @ nw @ omega.coeffs)
-    rhs = 4.0 * k1p * (ap2 + am2) - (1.0 / 3.0) * (s - 12.0 * k1p) * abs(ap2 - am2)
-    return lhs, rhs
+    lhs, rhs = lemma1_sides(R, omega.coeffs[None, :])
+    return float(lhs[0]), float(rhs[0])
 
 
 def lemma1_suite(n_tensors: int = 1000, n_forms: int = 100, seed: int = 0,
@@ -80,34 +82,20 @@ def lemma1_suite(n_tensors: int = 1000, n_forms: int = 100, seed: int = 0,
     Also reports the fraction of near-equality cases (slack below 1e-6).
     """
     rng = np.random.default_rng(seed)
-    min_slack = np.inf
-    n_viol = 0
-    near_eq = 0
-    total = 0
-    for _ in range(n_tensors):
+    slack = np.empty((n_tensors, n_forms))
+    for row in slack:
         R = random_algebraic_tensor(rng)
-        dec = decompose(R)
-        k1p = k1perp_closed_form(dec)
-        nw = weitzenbock_operator(R).matrix
-        omegas = rng.normal(size=(n_forms, 6))
-        lhs = np.einsum("ni,ij,nj->n", omegas, nw, omegas)
-        plus = 0.5 * (omegas + omegas @ STAR_MATRIX.T)
-        minus = 0.5 * (omegas - omegas @ STAR_MATRIX.T)
-        ap2 = (plus ** 2).sum(axis=1)
-        am2 = (minus ** 2).sum(axis=1)
-        rhs = 4.0 * k1p * (ap2 + am2) - (dec.s - 12.0 * k1p) / 3.0 * np.abs(ap2 - am2)
-        slack = lhs - rhs
-        min_slack = min(min_slack, float(slack.min()))
-        n_viol += int((slack < -tol).sum())
-        near_eq += int((slack < 1e-6).sum())
-        total += n_forms
+        lhs, rhs = lemma1_sides(R, rng.normal(size=(n_forms, 6)))
+        row[:] = lhs - rhs
+    n_viol = int((slack < -tol).sum())
+    near_eq = int((slack < 1e-6).sum())
     return CheckReport(
         name="lemma1",
         passed=n_viol == 0,
-        n_samples=total,
+        n_samples=slack.size,
         n_violations=n_viol,
-        min_slack=min_slack,
-        metrics={"near_equality_fraction": near_eq / total if total else 0.0},
+        min_slack=float(slack.min(initial=np.inf)),
+        metrics={"near_equality_fraction": near_eq / slack.size if slack.size else 0.0},
     )
 
 

@@ -192,6 +192,32 @@ def test_weitzenbock_command(capsys):
     assert payload["lemma1"]["passed"] is True
 
 
+def lemma1_per_form(R, n_forms, seed, tol):
+    """One lemma1_check per seeded unit form: (n_violations, min_slack)."""
+    rng = np.random.default_rng(seed)
+    slacks = []
+    for _ in range(n_forms):
+        coeffs = rng.normal(size=6)
+        lhs, rhs = fc.lemma1_check(R, fc.Form2(coeffs / np.linalg.norm(coeffs)))
+        slacks.append(lhs - rhs)
+    return sum(s < -tol for s in slacks), min(slacks)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_lemma1_on_one_tensor_matches_per_form_checks(tmp_path, capsys, seed):
+    R = fc.random_algebraic_tensor(seed, scale=3.0)
+    path = str(tmp_path / "tensor.json")
+    fc.save_tensor(R, path)
+    n_viol, min_slack = lemma1_per_form(R, 40, seed, 1e-9)
+    flags = ("--input", path, "--samples", "40", "--seed", str(seed))
+    _, payload = run_json(capsys, "weitzenbock", *flags)
+    _, checked = run_json(capsys, "check", "lemma1", *flags)
+    for report in (payload["lemma1"], checked["reports"][0]):
+        assert report["n_samples"] == 40
+        assert report["n_violations"] == n_viol
+        assert report["min_slack"] == pytest.approx(min_slack, abs=1e-12)
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "ville", "--samples", "0"),
     ("check", "deg", "--samples", "0"),

@@ -1,0 +1,67 @@
+"""Property tests: frame invariance, the rotation oracle, homogeneity.
+
+Tensors and frames are drawn from integer seeds so that hypothesis can
+shrink a failure to one seed and one scale.  Tolerances are relative to
+the operator norm |M|, since every quantity checked here is linear in R.
+"""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fourcurv as fc
+
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+def _norm(R):
+    return float(np.linalg.norm(fc.operator_from_tensor(R).matrix))
+
+
+def _invariants(R):
+    dec = fc.decompose(R)
+    scan = fc.scan_extremes(R)
+    return np.concatenate([
+        [dec.s], dec.wp_eigs, dec.wm_eigs,
+        [scan.k_min, scan.k_max, scan.k1perp, scan.k3perp,
+         scan.k_min_lower, scan.k_max_upper],
+        np.linalg.eigvalsh(fc.weitzenbock_operator(R).matrix),
+    ])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, exponent=st.floats(-3.0, 9.0))
+def test_invariant_under_rotation(seed, exponent):
+    rng = np.random.default_rng(seed)
+    R = fc.random_algebraic_tensor(rng, scale=10.0 ** exponent)
+    rotated = fc.rotate_tensor(R, fc.random_frame(rng).columns)
+    diff = np.abs(_invariants(rotated) - _invariants(R)).max()
+    assert diff <= 1e-12 * _norm(R)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, exponent=st.floats(-3.0, 3.0))
+def test_rotate_tensor_matches_einsum(seed, exponent):
+    # the definition R'[a,b,c,d] = R(f_a, f_b, f_c, f_d), term by term;
+    # the frame is a plain Gaussian matrix, not orthonormal
+    rng = np.random.default_rng(seed)
+    R = fc.random_algebraic_tensor(rng, scale=10.0 ** exponent)
+    f = rng.normal(size=(4, 4))
+    want = np.einsum("ia,jb,kc,ld,ijkl->abcd", f, f, f, f, R.components)
+    got = fc.rotate_tensor(R, f).components
+    # bound on the sum of |terms| for any one entry
+    size = np.abs(R.components).max() * np.abs(f).sum(axis=0).max() ** 4
+    assert np.abs(got - want).max() <= 1e-13 * size
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, lam=st.floats(1e-3, 1e3))
+def test_scan_is_homogeneous(seed, lam):
+    R = fc.random_algebraic_tensor(seed)
+    a = fc.scan_extremes(R)
+    b = fc.scan_extremes(fc.RiemannTensor(lam * R.components))
+    tol = 1e-12 * _norm(R)
+    for field in ("k_min", "k_max", "k1perp"):
+        assert abs(getattr(b, field) - lam * getattr(a, field)) <= lam * tol
+    if a.k_max > 1e-3 * _norm(R):
+        # delta = k_min / k_max, each off by at most tol
+        assert abs(b.delta - a.delta) <= 2.0 * tol * (1.0 + abs(a.delta)) / a.k_max

@@ -91,6 +91,30 @@ def test_bianchi_violation_detected():
     assert report.bianchi > 0.1
 
 
+def test_symmetry_tolerance_scales_with_the_tensor(rng):
+    # a rotated tensor of size 1e9 carries rounding residuals near 1e-6,
+    # which is 1e-15 relative: valid
+    R = fc.random_algebraic_tensor(0, scale=1e9)
+    rotated = fc.rotate_tensor(R, fc.random_frame(rng).columns)
+    report = fc.validate_symmetries(rotated)
+    assert report.tol == fc.tensor.SYMMETRY_TOL * np.abs(rotated.components).max()
+    assert report.valid
+    fc.decompose(rotated)
+
+
+def test_small_bianchi_violation_on_a_small_tensor_rejected():
+    # a 5e-10 Bianchi residual on a tensor of size 1.4e-6 is 3.7e-4 relative
+    from fourcurv.tensor import _tensor_from_matrix
+    R = fc.random_algebraic_tensor(0, scale=1e-6)
+    star = _tensor_from_matrix(np.array(fc.STAR_MATRIX))  # Bianchi sum 3
+    bad = fc.RiemannTensor(R.components + (5e-10 / 3.0) * star)
+    report = fc.validate_symmetries(bad)
+    assert report.bianchi == pytest.approx(5e-10, rel=1e-6)
+    assert not report.valid
+    with pytest.raises(fc.InvalidSymmetry):
+        fc.decompose(bad)
+
+
 def test_random_tensor_is_algebraic(rng):
     for _ in range(100):
         R = fc.random_algebraic_tensor(rng)

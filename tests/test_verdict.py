@@ -246,6 +246,17 @@ def test_theorem1_inconsistent_inputs(model_decs, model_scans):
         fc.theorem1_verdict(model_decs["S4"], model_scans["S2xS2"])
 
 
+def test_theorem1_consistency_check_is_relative():
+    # one tensor at scale 1e12 is consistent with itself; two tensors a
+    # relative 1e-3 apart at scale 1e-6 are not
+    big = fc.model("S4", r=1e-6).tensor
+    fc.theorem1_verdict(fc.decompose(big), fc.scan_extremes(big))
+    small = fc.model("S4", r=1e3).tensor
+    other = fc.RiemannTensor(1.001 * small.components)
+    with pytest.raises(fc.InconsistentInputs):
+        fc.theorem1_verdict(fc.decompose(small), fc.scan_extremes(other))
+
+
 def test_theorem2_verdicts(models, model_decs, model_scans):
     v = fc.theorem2_verdict(model_decs["S4"], model_scans["S4"], 4.0)
     assert v.hypotheses_hold

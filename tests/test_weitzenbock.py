@@ -2,6 +2,30 @@ import numpy as np
 import pytest
 
 import fourcurv as fc
+from fourcurv.forms import PAIRS
+
+
+def bilinear_weitzenbock(R):
+    """The defining expression, evaluated entry by entry on basis pairs."""
+    ric = fc.ricci(R)
+    c = R.components
+    d = np.eye(4)
+    m = np.empty((6, 6))
+    for b, (i, j) in enumerate(PAIRS):
+        for b2, (k, l) in enumerate(PAIRS):
+            m[b, b2] = (ric[i, k] * d[j, l] + ric[j, l] * d[i, k]
+                        - ric[i, l] * d[j, k] - ric[j, k] * d[i, l]
+                        - 2.0 * c[i, j, k, l])
+    return m
+
+
+def test_operator_matches_bilinear_definition(rng):
+    # N = tr(M) Id - M - *M* against the entrywise definition
+    for _ in range(500):
+        R = fc.random_algebraic_tensor(rng, scale=10.0 ** rng.uniform(-3, 3))
+        norm = np.linalg.norm(fc.operator_from_tensor(R).matrix)
+        diff = np.abs(fc.weitzenbock_operator(R).matrix - bilinear_weitzenbock(R))
+        assert diff.max() <= 16 * np.finfo(float).eps * norm
 
 
 def test_s4_operator_is_four_identity(models):
