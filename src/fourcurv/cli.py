@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -72,6 +72,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0.0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and at least 0, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--input", metavar="PATH",
@@ -85,7 +96,7 @@ def build_parser() -> _Parser:
     common.add_argument("--b", type=float, help="S2xS2 second factor radius")
     common.add_argument("--L", type=float, help="FlatT4 side length")
     common.add_argument("--samples", type=_positive_int, default=100)
-    common.add_argument("--tol", type=float, default=None)
+    common.add_argument("--tol", type=_tolerance, default=None)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--lambda1", type=float, default=None,
                         help="first Laplace eigenvalue (verdict thm2)")
@@ -160,7 +171,6 @@ def _merge(name: str, reports) -> CheckReport:
     """Aggregate per-tensor reports from a sweep into one suite report."""
     return CheckReport(
         name=name,
-        passed=all(r.passed for r in reports),
         n_samples=sum(r.n_samples for r in reports),
         n_violations=sum(r.n_violations for r in reports),
         min_slack=min(r.min_slack for r in reports),
@@ -173,11 +183,7 @@ def _lemma1_on(R: RiemannTensor, n_forms: int, seed: int,
     """Lemma 1 on one tensor over n_forms seeded random unit forms."""
     omegas = np.random.default_rng(seed).normal(size=(n_forms, 6))
     lhs, rhs = lemma1_sides(R, omegas / np.linalg.norm(omegas, axis=1, keepdims=True))
-    slack = lhs - rhs
-    n_viol = int((slack < -tol).sum())
-    return CheckReport(name="lemma1", passed=n_viol == 0, n_samples=n_forms,
-                       n_violations=n_viol,
-                       min_slack=float(slack.min(initial=np.inf)))
+    return CheckReport.from_slack("lemma1", lhs - rhs, tol)
 
 
 def _scan_payload(report) -> dict:
@@ -195,12 +201,6 @@ def _scan_payload(report) -> dict:
         "k1perp_plane": plane(report.k1perp_plane),
         "k3perp_plane": plane(report.k3perp_plane),
     }
-
-
-def _verdict_payload(v) -> dict:
-    return {"theorem": v.theorem, "hypotheses_hold": v.hypotheses_hold,
-            "computed_threshold": v.computed_threshold, "margin": v.margin,
-            "claim_text": v.claim_text, "notes": list(v.notes)}
 
 
 def _dispatch(config: RunConfig) -> tuple[dict, list[str], int]:
@@ -297,7 +297,7 @@ def _dispatch(config: RunConfig) -> tuple[dict, list[str], int]:
         dec = decompose(R)
         scan = scan_extremes(R)
         v = theorem1_verdict(dec, scan, tol=tol)
-        payload.update(_verdict_payload(v))
+        payload.update(asdict(v))
         payload["scan"] = _scan_payload(scan)
         lines += _verdict_lines(v)
         return payload, lines, 0 if v.hypotheses_hold else 2
@@ -313,7 +313,7 @@ def _dispatch(config: RunConfig) -> tuple[dict, list[str], int]:
         dec = decompose(R)
         scan = scan_extremes(R)
         v = theorem2_verdict(dec, scan, lam, tol=tol)
-        payload.update(_verdict_payload(v))
+        payload.update(asdict(v))
         payload["lambda1"] = lam
         payload["k1perp"] = scan.k1perp
         lines += _verdict_lines(v)
@@ -378,44 +378,28 @@ def _run_check(suite: str, config: RunConfig, tol: float) -> list[CheckReport]:
                    for _ in range(config.samples)]
         return [_merge("k3bound", reports)]
 
-    # ville and deg need verified pinching; a supplied tensor is scanned
-    # and its own observed delta = k_min/k_max is used, otherwise random
-    # pinched samples are drawn
-    def pinched_inputs():
-        if R is not None:
-            scan = scan_extremes(R)
-            delta = scan.delta if scan.delta is not None else 0.0
-            yield R, max(0.0, delta), scan
-            return
-        for i in range(config.samples):
-            sample = pinched_sample(config.seed + i)
-            scan = scan_extremes(sample)
-            delta = scan.delta if scan.delta is not None else 0.0
-            yield sample, max(0.0, delta), scan
-
+    if suite not in ("ville", "deg"):
+        raise _UsageError(f"unknown check suite {suite!r}")
+    # ville and deg need verified pinching; a supplied tensor is checked
+    # at its own observed delta = k_min/k_max, otherwise random pinched
+    # samples are drawn
+    tensors = ([R] if R is not None else
+               [pinched_sample(config.seed + i) for i in range(config.samples)])
     reports = []
-    if suite == "ville":
-        for tensor, delta, scan in pinched_inputs():
-            dec = decompose(tensor)
-            reports.append(operator_bound_check(
-                tensor, delta, n_planes=1000, seed=config.seed, tol=tol,
-                scan=scan))
-            reports.append(znorm_bound_check(dec, delta, tol=tol, scan=scan))
-        return ([_merge("ville", reports)] if len(reports) > 2
-                else reports)
-
-    if suite == "deg":
-        for tensor, delta, scan in pinched_inputs():
-            fg, bound = deg_lower_bound(decompose(tensor), delta, scan=scan)
-            slack = fg - bound
-            reports.append(CheckReport(
-                name="deg", passed=slack >= -tol, n_samples=1,
-                n_violations=0 if slack >= -tol else 1,
-                min_slack=slack,
+    for tensor in tensors:
+        scan = scan_extremes(tensor)
+        delta = max(0.0, scan.delta or 0.0)
+        dec = decompose(tensor)
+        if suite == "ville":
+            reports += [operator_bound_check(tensor, delta, n_planes=1000,
+                                             seed=config.seed, tol=tol, scan=scan),
+                        znorm_bound_check(dec, delta, tol=tol, scan=scan)]
+        else:
+            fg, bound = deg_lower_bound(dec, delta, scan=scan)
+            reports.append(CheckReport.from_slack(
+                "deg", fg - bound, tol,
                 metrics={"fg": fg, "bound": bound, "delta": delta}))
-        return [_merge("deg", reports)] if len(reports) > 1 else reports
-
-    raise _UsageError(f"unknown check suite {suite!r}")
+    return [_merge(suite, reports)] if len(tensors) > 1 else reports
 
 
 def _vec(v) -> str:

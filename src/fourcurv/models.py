@@ -11,7 +11,7 @@ value 3c is cross-checked by the totally geodesic CP^1 degeneration
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,75 +72,51 @@ def _cp2_components(c: float) -> np.ndarray:
                         + 2.0 * np.einsum("ij,kl->ijkl", G, G))
 
 
+# label, default parameters, and the remaining ModelSpace fields
+# (components, volume, lambda1, expected_chi, expected_tau) as a function
+# of the parameters
+_MODELS = {
+    "s4": ("S4", {"r": 1.0}, lambda r: (
+        _s4_components(r), 8.0 * _PI2 * r ** 4 / 3.0, 4.0 / r ** 2, 2, 0)),
+    "cp2": ("CP2", {"c": 4.0}, lambda c: (
+        _cp2_components(c), 8.0 * _PI2 / c ** 2, 3.0 * c, 3, 1)),
+    "s2xs2": ("S2xS2", {"a": 1.0, "b": 1.0}, lambda a, b: (
+        _s2s2_components(a, b), 16.0 * _PI2 * a ** 2 * b ** 2,
+        min(2.0 / a ** 2, 2.0 / b ** 2), 4, 0)),
+    "flatt4": ("FlatT4", {"L": 1.0}, lambda L: (
+        np.zeros((4, 4, 4, 4)), L ** 4, None, 0, 0)),
+}
+
+
 def model(name: str, **params) -> ModelSpace:
     """Build a model space by name: S4, CP2, S2xS2, or FlatT4.
 
-    Scale parameters (all strictly positive): S4 takes r (radius, default
-    1), CP2 takes c (holomorphic sectional curvature, default 4), S2xS2
-    takes factor radii a and b (default 1), FlatT4 takes the side L
+    Scale parameters (all positive and finite): S4 takes r (radius,
+    default 1), CP2 takes c (holomorphic sectional curvature, default 4),
+    S2xS2 takes factor radii a and b (default 1), FlatT4 takes the side L
     (default 1).
     """
-    key = name.lower()
-    if key == "s4":
-        r = float(params.pop("r", 1.0))
-        _no_extras("S4", params)
-        _positive("r", r)
-        return ModelSpace(
-            name="S4", params={"r": r},
-            tensor=RiemannTensor(_s4_components(r)),
-            volume=8.0 * _PI2 * r ** 4 / 3.0,
-            lambda1=4.0 / r ** 2,
-            expected_chi=2, expected_tau=0)
-    if key == "cp2":
-        c = float(params.pop("c", 4.0))
-        _no_extras("CP2", params)
-        _positive("c", c)
-        return ModelSpace(
-            name="CP2", params={"c": c},
-            tensor=RiemannTensor(_cp2_components(c)),
-            volume=8.0 * _PI2 / c ** 2,
-            lambda1=3.0 * c,
-            expected_chi=3, expected_tau=1)
-    if key == "s2xs2":
-        a = float(params.pop("a", 1.0))
-        b = float(params.pop("b", 1.0))
-        _no_extras("S2xS2", params)
-        _positive("a", a)
-        _positive("b", b)
-        return ModelSpace(
-            name="S2xS2", params={"a": a, "b": b},
-            tensor=RiemannTensor(_s2s2_components(a, b)),
-            volume=16.0 * _PI2 * a ** 2 * b ** 2,
-            lambda1=min(2.0 / a ** 2, 2.0 / b ** 2),
-            expected_chi=4, expected_tau=0)
-    if key == "flatt4":
-        L = float(params.pop("L", 1.0))
-        _no_extras("FlatT4", params)
-        _positive("L", L)
-        return ModelSpace(
-            name="FlatT4", params={"L": L},
-            tensor=RiemannTensor(np.zeros((4, 4, 4, 4))),
-            volume=L ** 4,
-            lambda1=None,
-            expected_chi=0, expected_tau=0)
-    raise UnknownModel(f"no model named {name!r}; "
-                       "choose from S4, CP2, S2xS2, FlatT4")
+    if name.lower() not in _MODELS:
+        raise UnknownModel(f"no model named {name!r}; "
+                           f"choose from {', '.join(model_names())}")
+    label, defaults, fields = _MODELS[name.lower()]
+    values = {key: float(params.pop(key, default))
+              for key, default in defaults.items()}
+    if params:
+        raise UnknownModel(
+            f"model {label} does not take parameters {sorted(params)}")
+    for key, value in values.items():
+        if not 0.0 < value < np.inf:
+            raise NonPositiveParam(f"parameter {key} must be positive and "
+                                   f"finite, got {value}")
+    components, volume, lambda1, chi, tau = fields(**values)
+    return ModelSpace(name=label, params=values,
+                      tensor=RiemannTensor(components), volume=volume,
+                      lambda1=lambda1, expected_chi=chi, expected_tau=tau)
 
 
 def model_names() -> tuple[str, ...]:
-    return ("S4", "CP2", "S2xS2", "FlatT4")
-
-
-def _positive(label: str, value: float) -> None:
-    if not value > 0:
-        raise NonPositiveParam(f"parameter {label} must be positive, "
-                               f"got {value}")
-
-
-def _no_extras(name: str, leftovers: dict) -> None:
-    if leftovers:
-        raise UnknownModel(
-            f"model {name} does not take parameters {sorted(leftovers)}")
+    return tuple(label for label, _, _ in _MODELS.values())
 
 
 def _weyl_only_noise(rng: np.random.Generator, scale: float) -> np.ndarray:

@@ -42,6 +42,8 @@ class RiemannTensor:
         c = np.asarray(self.components, dtype=float)
         if c.shape != (4, 4, 4, 4):
             raise ValueError(f"expected shape (4,4,4,4), got {c.shape}")
+        if not np.isfinite(c).all():
+            raise ValueError("components must be finite")
         object.__setattr__(self, "components", c)
 
 

@@ -191,10 +191,10 @@ def theorem1_verdict(dec: CurvatureDecomposition, scan: PinchingReport,
 
 
 def theorem2_threshold(s: float, lambda1: float) -> float:
-    """s^2 / (24 (3 lambda_1 + s)); both arguments must be positive."""
-    if s <= 0 or lambda1 <= 0:
+    """s^2 / (24 (3 lambda_1 + s)); s must be positive, lambda1 positive and finite."""
+    if not (s > 0 and 0 < lambda1 < np.inf):
         raise NonPositiveInput(
-            f"threshold needs s > 0 and lambda1 > 0, got s={s}, "
+            f"threshold needs s > 0 and 0 < lambda1 < inf, got s={s}, "
             f"lambda1={lambda1}")
     return s ** 2 / (24.0 * (3.0 * lambda1 + s))
 

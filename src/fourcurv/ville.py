@@ -128,14 +128,8 @@ def operator_bound_check(R: RiemannTensor, delta: float, n_planes: int = 1000,
                   + np.einsum("ni,ij,nj->n", ks, C, ks))
     item2 = dec.u + 0.5 * np.einsum("ni,ij,nj->n", hs, dec.wplus, hs)
     both = np.concatenate([vals, item2])
-    slack = np.minimum(both - delta, 1.0 - both)
-    n_viol = int((slack < -tol).sum())
-    return CheckReport(
-        name="operator_bound",
-        passed=n_viol == 0,
-        n_samples=2 * n_planes,
-        n_violations=n_viol,
-        min_slack=float(slack.min()),
+    return CheckReport.from_slack(
+        "operator_bound", np.minimum(both - delta, 1.0 - both), tol,
         metrics={
             "min_value": float(vals.min()), "max_value": float(vals.max()),
             "min_eigen_value": float(item2.min()), "max_eigen_value": float(item2.max()),
@@ -158,12 +152,8 @@ def znorm_bound_check(dec: CurvatureDecomposition, delta: float,
     notes = ()
     if vd.a.min() < 0:
         notes = ("negative A_i: pinching level and decomposition disagree",)
-    return CheckReport(
-        name="znorm_bound",
-        passed=lhs <= rhs + tol,
-        n_samples=1,
-        n_violations=0 if lhs <= rhs + tol else 1,
-        min_slack=rhs - lhs,
+    return CheckReport.from_slack(
+        "znorm_bound", rhs - lhs, tol,
         metrics={
             "z_norm2": lhs,
             "z_norm2_from_block": lhs_block,

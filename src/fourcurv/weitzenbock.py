@@ -87,16 +87,10 @@ def lemma1_suite(n_tensors: int = 1000, n_forms: int = 100, seed: int = 0,
         R = random_algebraic_tensor(rng)
         lhs, rhs = lemma1_sides(R, rng.normal(size=(n_forms, 6)))
         row[:] = lhs - rhs
-    n_viol = int((slack < -tol).sum())
     near_eq = int((slack < 1e-6).sum())
-    return CheckReport(
-        name="lemma1",
-        passed=n_viol == 0,
-        n_samples=slack.size,
-        n_violations=n_viol,
-        min_slack=float(slack.min(initial=np.inf)),
-        metrics={"near_equality_fraction": near_eq / slack.size if slack.size else 0.0},
-    )
+    return CheckReport.from_slack(
+        "lemma1", slack, tol,
+        metrics={"near_equality_fraction": near_eq / slack.size if slack.size else 0.0})
 
 
 def adapted_frame(omega: Form2) -> Frame4:
@@ -149,26 +143,15 @@ def intermediate_identity_check(R: RiemannTensor, omega: Form2,
     lhs = float(omega.coeffs @ nw @ omega.coeffs)
     resid = abs(lhs - rhs)
     scale = max(1.0, abs(lhs), abs(rhs))
-    return CheckReport(
-        name="intermediate_identity",
-        passed=resid <= tol * scale,
-        n_samples=1,
-        n_violations=0 if resid <= tol * scale else 1,
-        min_slack=tol * scale - resid,
-        metrics={"lhs": lhs, "rhs": float(rhs), "residual": resid},
-    )
+    return CheckReport.from_slack(
+        "intermediate_identity", tol * scale - resid, 0.0,
+        metrics={"lhs": lhs, "rhs": float(rhs), "residual": resid})
 
 
 def k3_bound_check(dec: CurvatureDecomposition, tol: float = 1e-12) -> CheckReport:
     """K3perp <= s/4 - 2 K1perp; equality on constant curvature and S2xS2."""
     k1 = k1perp_closed_form(dec)
     k3 = k3perp_closed_form(dec)
-    slack = dec.s / 4.0 - 2.0 * k1 - k3
-    return CheckReport(
-        name="k3_bound",
-        passed=slack >= -tol,
-        n_samples=1,
-        n_violations=0 if slack >= -tol else 1,
-        min_slack=float(slack),
-        metrics={"k1perp": k1, "k3perp": float(k3), "s": dec.s},
-    )
+    return CheckReport.from_slack(
+        "k3_bound", dec.s / 4.0 - 2.0 * k1 - k3, tol,
+        metrics={"k1perp": k1, "k3perp": float(k3), "s": dec.s})

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -36,3 +38,13 @@ def pinched_batch():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture(scope="session")
+def module_env():
+    """Environment in which `python -m fourcurv` imports this source tree."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fc.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env

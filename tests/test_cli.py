@@ -1,5 +1,4 @@
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -231,16 +230,54 @@ def test_non_positive_samples_rejected(capsys, argv):
     assert captured.out == ""
 
 
-def test_console_script():
+def test_console_script(module_env):
     # python -m fourcurv always; the installed executable when there is one
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fc.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     commands = [[sys.executable, "-m", "fourcurv", "delta-star"]]
     if shutil.which("fourcurv"):
         commands.append(["fourcurv", "delta-star"])
     for argv in commands:
-        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+        proc = subprocess.run(argv, capture_output=True, text=True,
+                              env=module_env)
         assert proc.returncode == 0, proc.stderr
         assert "0.049038105" in proc.stdout
+
+
+def test_non_finite_component_in_input_rejected(tmp_path, module_env):
+    # a subprocess, so that a RuntimeWarning would reach stderr as text
+    c = fc.model("S4").tensor.components.copy()
+    c[0, 0, 0, 0] = np.inf
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps({"components": c.tolist()}))
+    assert "Infinity" in path.read_text()
+    proc = subprocess.run(
+        [sys.executable, "-m", "fourcurv", "decompose", "--input", str(path)],
+        capture_output=True, text=True, env=module_env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "finite" in proc.stderr
+    assert "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-9", "abc"])
+def test_tol_must_be_finite_and_non_negative(capsys, value):
+    assert run_cli("check", "seaman", "--samples", "2", "--tol", value) == 1
+    captured = capsys.readouterr()
+    assert "--tol" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_lambda1_rejected(capsys, value):
+    assert run_cli("verdict", "thm2", "--model", "S4",
+                   "--lambda1", value) == 1
+    captured = capsys.readouterr()
+    assert "lambda1" in captured.err
+    assert captured.out == ""
+
+
+def test_non_finite_model_parameter_rejected(capsys):
+    assert run_cli("invariants", "--model", "S4", "--r", "inf",
+                   "--output-format", "json") == 1
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert captured.out == ""

@@ -123,3 +123,12 @@ def test_pinched_sample_target_validation():
         fc.pinched_sample(seed=0, delta_target=0.0)
     with pytest.raises(ValueError):
         fc.pinched_sample(seed=0, delta_target=1.2)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("S4", {"r": np.inf}), ("CP2", {"c": np.nan}),
+    ("S2xS2", {"a": 1.0, "b": np.inf}), ("FlatT4", {"L": -np.inf}),
+])
+def test_model_rejects_non_finite_params(name, params):
+    with pytest.raises(fc.NonPositiveParam, match="finite"):
+        fc.model(name, **params)

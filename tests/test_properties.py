@@ -1,8 +1,10 @@
-"""Property tests: frame invariance, the rotation oracle, homogeneity.
+"""Property tests: frame invariance, the rotation oracle, homogeneity,
+orientation reversal.
 
 Tensors and frames are drawn from integer seeds so that hypothesis can
 shrink a failure to one seed and one scale.  Tolerances are relative to
-the operator norm |M|, since every quantity checked here is linear in R.
+the operator norm |M| for quantities linear in R, and to |M|^2 for the
+quadratic signature integrand.
 """
 import numpy as np
 from hypothesis import given, settings
@@ -65,3 +67,26 @@ def test_scan_is_homogeneous(seed, lam):
     if a.k_max > 1e-3 * _norm(R):
         # delta = k_min / k_max, each off by at most tol
         assert abs(b.delta - a.delta) <= 2.0 * tol * (1.0 + abs(a.delta)) / a.k_max
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, exponent=st.floats(-3.0, 3.0))
+def test_orientation_reversal(seed, exponent):
+    # a frame with det -1 swaps self-dual and anti-self-dual forms
+    rng = np.random.default_rng(seed)
+    R = fc.random_algebraic_tensor(rng, scale=10.0 ** exponent)
+    frame = fc.random_frame(rng).columns.copy()
+    frame[:, 0] *= -1.0
+    reflected = fc.rotate_tensor(R, frame)
+    a, b = fc.decompose(R), fc.decompose(reflected)
+    tol = 1e-12 * _norm(R)
+    assert abs(b.s - a.s) <= tol
+    assert np.abs(b.wp_eigs - a.wm_eigs).max() <= tol
+    assert np.abs(b.wm_eigs - a.wp_eigs).max() <= tol
+    # 12 pi^2 tau-integrand = |W+|^2 - |W-|^2 is quadratic in R
+    sig = 12.0 * np.pi ** 2 * np.array([fc.signature_integrand(a),
+                                        fc.signature_integrand(b)])
+    assert abs(sig[0] + sig[1]) <= 1e-12 * _norm(R) ** 2
+    sa, sb = fc.scan_extremes(R), fc.scan_extremes(reflected)
+    for field in ("k_min", "k_max", "k1perp", "k3perp"):
+        assert abs(getattr(sb, field) - getattr(sa, field)) <= tol

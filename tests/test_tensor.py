@@ -183,3 +183,13 @@ def test_json_extra_keys_ignored(tmp_path):
 def test_json_missing_key_raises():
     with pytest.raises(ValueError):
         fc.tensor_from_dict({"wrong": []})
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_components_rejected(bad):
+    # R_1111 is never read by the operator, and inf used to widen the
+    # symmetry tolerance to inf, so this tensor scanned as the unit sphere
+    c = fc.model("S4").tensor.components.copy()
+    c[0, 0, 0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        fc.RiemannTensor(c)

@@ -282,3 +282,9 @@ def test_theorem2_error_paths(model_decs, model_scans):
         fc.theorem2_verdict(model_decs["FlatT4"], model_scans["FlatT4"], 1.0)
     with pytest.raises(fc.NonPositiveInput):
         fc.theorem2_verdict(model_decs["S4"], model_scans["S4"], 0.0)
+
+
+@pytest.mark.parametrize("lambda1", [np.inf, np.nan])
+def test_theorem2_threshold_rejects_non_finite_lambda1(lambda1):
+    with pytest.raises(fc.NonPositiveInput):
+        fc.theorem2_threshold(12.0, lambda1)
