@@ -2,24 +2,31 @@
 
 Subcommands mirror the library layers: decompose, scan, weitzenbock,
 check (seaman / lemma1 / k3bound / ville / deg), invariants, delta-star,
-verdict (thm1 / thm2), model (list / export).
+verdict (thm1 / thm2), model (list / export).  The parsed arguments are
+the config: `config_from_args` returns the argparse namespace, with
+`command` joined ("check seaman") and `model_params` holding the model
+flags given.  JSON payloads are the result records themselves, through
+`_plain`.
 
 Tensor input comes from --input (JSON with a "components" key) or from
 --model with its scale flags; check commands accept neither, in which
-case they sweep random tensors or pinched samples.  Exit codes: 0 on
-success, 2 when a verdict's hypotheses fail or a check suite records a
-violation or refuses for lack of verified pinching, 1 on errors.
+case they sweep random tensors or pinched samples.  A suite that checks
+more than one tensor merges its reports into one, whose `tensors` metric
+counts them.  Exit codes: 0 on success, 2 when a verdict's hypotheses
+fail or a check suite records a violation or refuses for lack of
+verified pinching, 1 on errors.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
 from .errors import CurvatureError, PinchingNotVerified
+from .forms import Form2
 from .invariants import homogeneous_invariants, integrand_values
 from .models import model, model_names, pinched_sample
 from .reporting import CheckReport
@@ -35,18 +42,18 @@ from .weitzenbock import (k3_bound_check, lemma1_sides, lemma1_suite,
 _CHECK_TOL = 1e-9
 _VERDICT_TOL = 1e-6
 
+# the model scale flags, --NAME, with their help text
+_MODEL_FLAGS = {"r": "S4 radius", "c": "CP2 holomorphic sectional curvature",
+                "a": "S2xS2 first factor radius",
+                "b": "S2xS2 second factor radius", "L": "FlatT4 side length"}
 
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    model_name: str | None = None
-    model_params: dict = field(default_factory=dict)
-    samples: int = 100
-    tol: float | None = None     # None picks the command's own default
-    seed: int = 0
-    lambda1: float | None = None
-    output_format: str = "text"
+# each subcommand with its positional argument, if it takes one; the
+# positional keeps its own name, which argparse shows in its errors
+_SUBCOMMANDS = {"decompose": None, "scan": None, "weitzenbock": None,
+                "check": ("suite", ("seaman", "lemma1", "k3bound", "ville", "deg")),
+                "invariants": None, "delta-star": None,
+                "verdict": ("theorem", ("thm1", "thm2")),
+                "model": ("action", ("list", "export"))}
 
 
 class _UsageError(Exception):
@@ -62,25 +69,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _bounded(kind, holds, requirement: str):
+    """An argparse type: parse with kind, then require holds(value)."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}")
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {value}")
+        return value
+    return parse
 
 
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if not 0.0 <= value < np.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be finite and at least 0, got {value}")
-    return value
+_positive_int = _bounded(int, lambda v: v >= 1, "must be at least 1")
+_tolerance = _bounded(float, lambda v: 0.0 <= v < np.inf,
+                      "must be finite and at least 0")
 
 
 def build_parser() -> _Parser:
@@ -89,12 +94,8 @@ def build_parser() -> _Parser:
                         help="JSON file with a 'components' entry")
     common.add_argument("--model", metavar="NAME",
                         help="model space: S4, CP2, S2xS2, FlatT4")
-    common.add_argument("--r", type=float, help="S4 radius")
-    common.add_argument("--c", type=float,
-                        help="CP2 holomorphic sectional curvature")
-    common.add_argument("--a", type=float, help="S2xS2 first factor radius")
-    common.add_argument("--b", type=float, help="S2xS2 second factor radius")
-    common.add_argument("--L", type=float, help="FlatT4 side length")
+    for name, text in _MODEL_FLAGS.items():
+        common.add_argument(f"--{name}", type=float, help=text)
     common.add_argument("--samples", type=_positive_int, default=100)
     common.add_argument("--tol", type=_tolerance, default=None)
     common.add_argument("--seed", type=int, default=0)
@@ -106,75 +107,59 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="fourcurv",
                      description="curvature algebra on oriented 4-manifolds")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("decompose", parents=[common])
-    sub.add_parser("scan", parents=[common])
-    sub.add_parser("weitzenbock", parents=[common])
-    p = sub.add_parser("check", parents=[common])
-    p.add_argument("suite",
-                   choices=("seaman", "lemma1", "k3bound", "ville", "deg"))
-    sub.add_parser("invariants", parents=[common])
-    sub.add_parser("delta-star", parents=[common])
-    p = sub.add_parser("verdict", parents=[common])
-    p.add_argument("theorem", choices=("thm1", "thm2"))
-    p = sub.add_parser("model", parents=[common])
-    p.add_argument("action", choices=("list", "export"))
+    for command, positional in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, parents=[common])
+        if positional:
+            dest, choices = positional
+            p.add_argument(dest, choices=choices)
     return parser
 
 
-def config_from_args(argv) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    command = ns.command
-    if command == "check":
-        command = f"check {ns.suite}"
-    elif command == "verdict":
-        command = f"verdict {ns.theorem}"
-    elif command == "model":
-        command = f"model {ns.action}"
-    params = {name: value
-              for name, value in (("r", ns.r), ("c", ns.c), ("a", ns.a),
-                                  ("b", ns.b), ("L", ns.L))
-              if value is not None}
-    return RunConfig(command=command, input_path=ns.input,
-                     model_name=ns.model, model_params=params,
-                     samples=ns.samples, tol=ns.tol, seed=ns.seed,
-                     lambda1=ns.lambda1, output_format=ns.output_format)
+def config_from_args(argv) -> argparse.Namespace:
+    """The parsed arguments, with `command` joined and `model_params` set."""
+    config = build_parser().parse_args(argv)
+    positional = _SUBCOMMANDS[config.command]
+    if positional:
+        config.command += " " + getattr(config, positional[0])
+    config.model_params = {name: getattr(config, name) for name in _MODEL_FLAGS
+                           if getattr(config, name) is not None}
+    return config
 
 
-def _source(config: RunConfig, required: bool = True):
+def _source(config: argparse.Namespace, required: bool = True):
     """Resolve the tensor source; returns (tensor or None, model or None)."""
-    if config.input_path and config.model_name:
+    if config.input and config.model:
         raise _UsageError("give either --input or --model, not both")
-    if config.input_path:
-        return load_tensor(config.input_path), None
-    if config.model_name:
-        ms = model(config.model_name, **config.model_params)
+    if config.input:
+        return load_tensor(config.input), None
+    if config.model:
+        ms = model(config.model, **config.model_params)
         return ms.tensor, ms
     if required:
         raise _UsageError(f"{config.command} needs --input or --model")
     return None, None
 
 
-def _echo(config: RunConfig, tol: float) -> dict:
-    return {
-        "command": config.command,
-        "seed": config.seed,
-        "tol": tol,
-        "scan_accuracy": SCAN_ACCURACY,
-    }
+def _plain(value):
+    """A dataclass as a dict of its fields, an array as a list, a Form2 as
+    its coefficients: the JSON form of a result record."""
+    if isinstance(value, Form2):
+        return value.coeffs.tolist()
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
 
 
-def _report_dicts(reports) -> list[dict]:
-    return [r.as_dict() for r in reports]
-
-
-def _merge(name: str, reports) -> CheckReport:
-    """Aggregate per-tensor reports from a sweep into one suite report."""
+def _merge(name: str, reports, n_tensors: int) -> CheckReport:
+    """Aggregate the reports of a sweep over n_tensors into one suite report."""
     return CheckReport(
         name=name,
         n_samples=sum(r.n_samples for r in reports),
         n_violations=sum(r.n_violations for r in reports),
         min_slack=min(r.min_slack for r in reports),
-        metrics={"tensors": len(reports)},
+        metrics={"tensors": n_tensors},
     )
 
 
@@ -186,43 +171,19 @@ def _lemma1_on(R: RiemannTensor, n_forms: int, seed: int,
     return CheckReport.from_slack("lemma1", lhs - rhs, tol)
 
 
-def _scan_payload(report) -> dict:
-    def plane(p):
-        return {"form": p.form.coeffs.tolist(),
-                "sd_unit": p.sd_unit.coeffs.tolist(),
-                "asd_unit": p.asd_unit.coeffs.tolist()}
-    return {
-        "k_min": report.k_min, "k_max": report.k_max,
-        "k_min_lower": report.k_min_lower, "k_max_upper": report.k_max_upper,
-        "k1perp": report.k1perp, "k3perp": report.k3perp,
-        "delta": report.delta,
-        "argmin_plane": plane(report.argmin_plane),
-        "argmax_plane": plane(report.argmax_plane),
-        "k1perp_plane": plane(report.k1perp_plane),
-        "k3perp_plane": plane(report.k3perp_plane),
-    }
-
-
-def _dispatch(config: RunConfig) -> tuple[dict, list[str], int]:
+def _dispatch(config: argparse.Namespace) -> tuple[dict, list[str], int]:
     """Returns (json payload, text lines, exit code)."""
     cmd = config.command
     tol = config.tol if config.tol is not None else (
         _VERDICT_TOL if cmd.startswith("verdict") else _CHECK_TOL)
-    payload = _echo(config, tol)
+    payload = {"command": cmd, "seed": config.seed, "tol": tol,
+               "scan_accuracy": SCAN_ACCURACY}
     lines: list[str] = []
 
     if cmd == "decompose":
         R, _ = _source(config)
         dec = decompose(R)
-        payload.update({
-            "components": R.components.tolist(),
-            "s": dec.s, "u": dec.u,
-            "ric": dec.ric.tolist(), "ric0": dec.ric0.tolist(),
-            "wplus": dec.wplus.tolist(), "wminus": dec.wminus.tolist(),
-            "z_block": dec.z_block.tolist(),
-            "wp_eigs": dec.wp_eigs.tolist(),
-            "wm_eigs": dec.wm_eigs.tolist(),
-        })
+        payload.update(_plain(R), **_plain(dec))
         lines += [f"scalar curvature s = {dec.s:.12g}",
                   f"u = s/12 = {dec.u:.12g}",
                   f"W+ eigenvalues: {_vec(dec.wp_eigs)}",
@@ -236,7 +197,7 @@ def _dispatch(config: RunConfig) -> tuple[dict, list[str], int]:
     if cmd == "scan":
         R, _ = _source(config)
         report = scan_extremes(R)
-        payload.update(_scan_payload(report))
+        payload.update(_plain(report))
         delta = "undefined" if report.delta is None else f"{report.delta:.9g}"
         lines += [f"k_min   = {report.k_min:.9g}",
                   f"k_max   = {report.k_max:.9g}",
@@ -259,13 +220,13 @@ def _dispatch(config: RunConfig) -> tuple[dict, list[str], int]:
         return payload, lines, 0 if suite.passed else 2
 
     if cmd.startswith("check "):
-        reports = _run_check(cmd.split()[1], config, tol)
-        payload["reports"] = _report_dicts(reports)
+        reports = _run_check(config, tol)
+        payload["reports"] = [r.as_dict() for r in reports]
         lines += [_report_line(r) for r in reports]
         return payload, lines, 0 if all(r.passed for r in reports) else 2
 
     if cmd == "invariants":
-        if not config.model_name:
+        if not config.model:
             raise _UsageError("invariants needs --model (volume required)")
         _, ms = _source(config)
         chi, tau, cm2t = homogeneous_invariants(ms)
@@ -292,114 +253,92 @@ def _dispatch(config: RunConfig) -> tuple[dict, list[str], int]:
                   f"difference: {numeric - CRITICAL_DELTA:.3e}"]
         return payload, lines, 0
 
-    if cmd == "verdict thm1":
-        R, _ = _source(config)
-        dec = decompose(R)
-        scan = scan_extremes(R)
-        v = theorem1_verdict(dec, scan, tol=tol)
-        payload.update(asdict(v))
-        payload["scan"] = _scan_payload(scan)
-        lines += _verdict_lines(v)
-        return payload, lines, 0 if v.hypotheses_hold else 2
-
-    if cmd == "verdict thm2":
+    if cmd.startswith("verdict "):
         R, ms = _source(config)
-        lam = config.lambda1
-        if lam is None and ms is not None:
-            lam = ms.lambda1
-        if lam is None:
+        lam = ms.lambda1 if config.lambda1 is None and ms else config.lambda1
+        if lam is None and config.theorem == "thm2":
             raise _UsageError("verdict thm2 needs --lambda1 "
                               "(or a model that provides it)")
         dec = decompose(R)
         scan = scan_extremes(R)
-        v = theorem2_verdict(dec, scan, lam, tol=tol)
-        payload.update(asdict(v))
-        payload["lambda1"] = lam
-        payload["k1perp"] = scan.k1perp
+        if config.theorem == "thm1":
+            v = theorem1_verdict(dec, scan, tol=tol)
+            payload.update(_plain(v), scan=_plain(scan))
+        else:
+            v = theorem2_verdict(dec, scan, lam, tol=tol)
+            payload.update(_plain(v), lambda1=lam, k1perp=scan.k1perp)
         lines += _verdict_lines(v)
         return payload, lines, 0 if v.hypotheses_hold else 2
 
     if cmd == "model list":
-        rows = []
+        payload["models"] = []
         for name in model_names():
             ms = model(name)
-            dec = decompose(ms.tensor)
-            rows.append({"name": ms.name, "params": ms.params,
-                         "s": dec.s, "volume": ms.volume,
-                         "lambda1": ms.lambda1,
-                         "chi": ms.expected_chi, "tau": ms.expected_tau})
-        payload["models"] = rows
-        for row in rows:
-            lam = "-" if row["lambda1"] is None else f"{row['lambda1']:g}"
-            lines.append(f"{row['name']:7s} params={row['params']} "
-                         f"s={row['s']:g} vol={row['volume']:.6g} "
-                         f"lambda1={lam} chi={row['chi']} tau={row['tau']}")
+            row = {"name": ms.name, "params": ms.params,
+                   "s": decompose(ms.tensor).s, "volume": ms.volume,
+                   "lambda1": ms.lambda1,
+                   "chi": ms.expected_chi, "tau": ms.expected_tau}
+            payload["models"].append(row)
+            lam = "-" if ms.lambda1 is None else f"{ms.lambda1:g}"
+            lines.append(f"{ms.name:7s} params={ms.params} "
+                         f"s={row['s']:g} vol={ms.volume:.6g} "
+                         f"lambda1={lam} chi={ms.expected_chi} tau={ms.expected_tau}")
         return payload, lines, 0
 
-    if cmd == "model export":
-        if not config.model_name:
-            raise _UsageError("model export needs --model")
-        _, ms = _source(config)
-        data = tensor_to_dict(ms.tensor)
-        data.update({"model": ms.name, "params": ms.params,
-                     "volume": ms.volume, "lambda1": ms.lambda1,
-                     "expected_chi": ms.expected_chi,
-                     "expected_tau": ms.expected_tau})
-        # export is itself the payload: valid tensor JSON on stdout
-        return data, [json.dumps(data)], 0
-
-    raise _UsageError(f"unknown command {cmd!r}")
+    # model export
+    if not config.model:
+        raise _UsageError("model export needs --model")
+    _, ms = _source(config)
+    data = tensor_to_dict(ms.tensor)
+    data.update({"model": ms.name, "params": ms.params,
+                 "volume": ms.volume, "lambda1": ms.lambda1,
+                 "expected_chi": ms.expected_chi,
+                 "expected_tau": ms.expected_tau})
+    # export is itself the payload: valid tensor JSON on stdout
+    return data, [json.dumps(data)], 0
 
 
-def _run_check(suite: str, config: RunConfig, tol: float) -> list[CheckReport]:
+def _run_check(config: argparse.Namespace, tol: float) -> list[CheckReport]:
+    suite = config.suite
     R, _ = _source(config, required=False)
-    rng = np.random.default_rng(config.seed)
-
-    if suite == "seaman":
-        if R is not None:
-            return [seaman_check(R, n_frames=config.samples,
-                                 seed=config.seed, tol=tol)]
-        reports = [seaman_check(random_algebraic_tensor(rng), n_frames=100,
-                                seed=config.seed + i, tol=tol)
-                   for i in range(config.samples)]
-        return [_merge("seaman", reports)]
-
     if suite == "lemma1":
-        if R is not None:
-            return [_lemma1_on(R, config.samples, config.seed, tol)]
-        return [lemma1_suite(n_tensors=config.samples, n_forms=100,
-                             seed=config.seed, tol=tol)]
+        # its sweep draws tensors and forms from one RNG stream
+        return [_lemma1_on(R, config.samples, config.seed, tol) if R is not None
+                else lemma1_suite(n_tensors=config.samples, n_forms=100,
+                                  seed=config.seed, tol=tol)]
 
-    if suite == "k3bound":
-        if R is not None:
-            return [k3_bound_check(decompose(R), tol=tol)]
-        reports = [k3_bound_check(decompose(random_algebraic_tensor(rng)),
-                                  tol=tol)
-                   for _ in range(config.samples)]
-        return [_merge("k3bound", reports)]
-
-    if suite not in ("ville", "deg"):
-        raise _UsageError(f"unknown check suite {suite!r}")
-    # ville and deg need verified pinching; a supplied tensor is checked
-    # at its own observed delta = k_min/k_max, otherwise random pinched
-    # samples are drawn
-    tensors = ([R] if R is not None else
-               [pinched_sample(config.seed + i) for i in range(config.samples)])
+    # a given tensor is checked alone; otherwise ville and deg, which need
+    # verified pinching, sweep pinched samples, and the others random tensors
+    if R is not None:
+        tensors = [R]
+    elif suite in ("ville", "deg"):
+        tensors = [pinched_sample(config.seed + i) for i in range(config.samples)]
+    else:
+        rng = np.random.default_rng(config.seed)
+        tensors = [random_algebraic_tensor(rng) for _ in range(config.samples)]
     reports = []
-    for tensor in tensors:
-        scan = scan_extremes(tensor)
-        delta = max(0.0, scan.delta or 0.0)
-        dec = decompose(tensor)
-        if suite == "ville":
-            reports += [operator_bound_check(tensor, delta, n_planes=1000,
-                                             seed=config.seed, tol=tol, scan=scan),
-                        znorm_bound_check(dec, delta, tol=tol, scan=scan)]
+    for i, tensor in enumerate(tensors):
+        if suite == "seaman":
+            reports.append(seaman_check(
+                tensor, n_frames=config.samples if R is not None else 100,
+                seed=config.seed + i, tol=tol))
+        elif suite == "k3bound":
+            reports.append(k3_bound_check(decompose(tensor), tol=tol))
         else:
-            fg, bound = deg_lower_bound(dec, delta, scan=scan)
-            reports.append(CheckReport.from_slack(
-                "deg", fg - bound, tol,
-                metrics={"fg": fg, "bound": bound, "delta": delta}))
-    return [_merge(suite, reports)] if len(tensors) > 1 else reports
+            # checked at the tensor's own observed delta = k_min/k_max
+            scan = scan_extremes(tensor)
+            delta = max(0.0, scan.delta or 0.0)
+            dec = decompose(tensor)
+            if suite == "ville":
+                reports += [operator_bound_check(tensor, delta, n_planes=1000,
+                                                 seed=config.seed, tol=tol, scan=scan),
+                            znorm_bound_check(dec, delta, tol=tol, scan=scan)]
+            else:
+                fg, bound = deg_lower_bound(dec, delta, scan=scan)
+                reports.append(CheckReport.from_slack(
+                    "deg", fg - bound, tol,
+                    metrics={"fg": fg, "bound": bound, "delta": delta}))
+    return [_merge(suite, reports, len(tensors))] if len(tensors) > 1 else reports
 
 
 def _vec(v) -> str:
@@ -433,7 +372,7 @@ def _verdict_lines(v) -> list[str]:
     return lines
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     try:
         payload, lines, code = _dispatch(config)
     except _UsageError as e:

@@ -25,6 +25,8 @@ from .errors import NonOrthonormalInput, NonUnitInput, WrongDuality
 
 # index pairs (i<j) behind each basis slot
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# the same as index arrays: slot b holds e_I[b] ^ e_J[b]
+_I, _J = np.array(PAIRS).T
 
 STAR_MATRIX = np.zeros((6, 6))
 STAR_MATRIX[0, 5] = 1.0
@@ -126,18 +128,14 @@ def wedge(x, y) -> Form2:
     """Coefficients of x^y for two 4-vectors."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    out = np.empty(6)
-    for b, (i, j) in enumerate(PAIRS):
-        out[b] = x[i] * y[j] - x[j] * y[i]
-    return Form2(out)
+    return Form2(x[_I] * y[_J] - x[_J] * y[_I])
 
 
 def form_matrix(omega: Form2) -> np.ndarray:
     """The antisymmetric 4x4 matrix O with O[i,j] = coefficient on e_i^e_j."""
     out = np.zeros((4, 4))
-    for b, (i, j) in enumerate(PAIRS):
-        out[i, j] = omega.coeffs[b]
-        out[j, i] = -omega.coeffs[b]
+    out[_I, _J] = omega.coeffs
+    out[_J, _I] = -omega.coeffs
     return out
 
 

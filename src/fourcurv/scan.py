@@ -26,10 +26,12 @@ The solve bisects on the sign of that slope from the bracket
 [-2|M|, 2|M|] (Frobenius norm) and stops once the bracket is no wider
 than 1e-15 |M|; bisecting further down to float resolution gains nothing
 and, when the optimum is t = 0 (S4, the flat torus), takes about a
-thousand steps.  The lowest eigenvectors at the two bracket ends have
-slopes of opposite sign, so one combination of them is balanced,
-|x| = |y|; that combination, normalized to (h, k), is the attaining
-plane, and the reported extreme is its sectional value.
+thousand steps.  The solve runs on M divided by the power of two at
+max|M|; that scaling is exact, and it keeps |M| from overflowing or
+underflowing at any finite scale.  The lowest eigenvectors at the two
+bracket ends have slopes of opposite sign, so one combination of them is
+balanced, |x| = |y|; that combination, normalized to (h, k), is the
+attaining plane, and the reported extreme is its sectional value.
 
 Certificate.  For every t, g(t) <= K(P) on each plane, so the best dual
 value, lowered by a rounding allowance of the eigensolver, is a lower
@@ -189,13 +191,17 @@ def scan_extremes(R: RiemannTensor, budget: None = None) -> PinchingReport:
 def _scan_blocks(mp: np.ndarray) -> PinchingReport:
     """scan_extremes on the operator mp given in the block frame."""
     A, B, C = mp[:3, :3], mp[:3, 3:], mp[3:, 3:]
-    norm = float(np.linalg.norm(mp))
+    # the dual runs on mp / 2^e, 2^e the power of two at max|mp| (1 for the
+    # zero operator), so that |M| neither overflows nor underflows
+    e = int(np.frexp(np.abs(mp).max())[1])
+    unit = np.ldexp(mp, -e)
+    norm = float(np.linalg.norm(unit))
 
     def value(h, k):
         return float(0.5 * (h @ A @ h + k @ C @ k) + h @ B @ k)
 
-    g_min, h_lo, k_lo = _dual_min(mp, norm)
-    g_neg, h_hi, k_hi = _dual_min(-mp, norm)
+    g_min, h_lo, k_lo = _dual_min(unit, norm)
+    g_neg, h_hi, k_hi = _dual_min(-unit, norm)
     rounding = _ROUNDING_REL * norm
     kmin_val = value(h_lo, k_lo)
     kmax_val = value(h_hi, k_hi)
@@ -213,8 +219,8 @@ def _scan_blocks(mp: np.ndarray) -> PinchingReport:
         argmax_plane=_plane(h_hi, k_hi),
         k1perp_plane=_plane(va[:, 0], vc[:, 0]),
         k3perp_plane=_plane(va[:, 2], vc[:, 2]),
-        k_min_lower=g_min - rounding,
-        k_max_upper=rounding - g_neg,
+        k_min_lower=float(np.ldexp(g_min - rounding, e)),
+        k_max_upper=float(np.ldexp(rounding - g_neg, e)),
     )
 
 

@@ -24,12 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSymmetry
-from .forms import BLOCK_BASIS, PAIRS, STAR_MATRIX
+from .forms import BLOCK_BASIS, STAR_MATRIX, _I, _J
 
 SYMMETRY_TOL = 1e-9
-
-# index arrays of the wedge basis: slot b holds e_I[b] ^ e_J[b]
-_I, _J = np.array(PAIRS).T
 
 
 @dataclass(frozen=True)

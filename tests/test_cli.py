@@ -169,6 +169,26 @@ def test_check_ville_on_pinched_samples(capsys):
         assert report["n_violations"] == 0
 
 
+def test_sweep_merges_per_tensor_count(capsys):
+    # ville makes two reports per tensor; the merged report counts tensors
+    code, payload = run_json(capsys, "check", "ville", "--samples", "3")
+    assert code == 0
+    [report] = payload["reports"]
+    assert report["metrics"] == {"tensors": 3}
+
+
+@pytest.mark.parametrize("suite", ["seaman", "k3bound"])
+def test_sweep_of_one_tensor_keeps_its_report(capsys, suite):
+    # the same tensor and report as the library gives, metrics included
+    R = fc.random_algebraic_tensor(np.random.default_rng(4))
+    want = (fc.seaman_check(R, n_frames=100, seed=4, tol=1e-9)
+            if suite == "seaman" else fc.k3_bound_check(fc.decompose(R), tol=1e-9))
+    code, payload = run_json(capsys, "check", suite, "--samples", "1",
+                             "--seed", "4")
+    assert code == 0
+    assert payload["reports"] == [want.as_dict()]
+
+
 def test_check_deg_on_model(capsys):
     code, payload = run_json(capsys, "check", "deg", "--model", "S4")
     assert code == 0
@@ -281,3 +301,38 @@ def test_non_finite_model_parameter_rejected(capsys):
     captured = capsys.readouterr()
     assert "finite" in captured.err
     assert captured.out == ""
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+_SUBCOMMANDS = [("decompose",), ("scan",), ("weitzenbock",),
+                *(("check", suite) for suite in
+                  ("seaman", "lemma1", "k3bound", "ville", "deg")),
+                ("invariants",), ("delta-star",), ("verdict", "thm1"),
+                ("verdict", "thm2"), ("model", "list"), ("model", "export")]
+
+
+@pytest.mark.parametrize("source", ["S4", "CP2", "FlatT4", "random"])
+@pytest.mark.parametrize("command", _SUBCOMMANDS)
+def test_json_payload_is_strict(tmp_path, capsys, command, source):
+    if source == "random":
+        R = fc.random_algebraic_tensor(3, scale=2.0)
+        fc.save_tensor(R, str(tmp_path / "random.json"))
+        flags = ("--input", str(tmp_path / "random.json"))
+    else:
+        R = fc.model(source).tensor
+        flags = ("--model", source)
+    code = run_cli(*command, *flags, "--samples", "5", "--lambda1", "2",
+                   "--output-format", "json")
+    captured = capsys.readouterr()
+    if not captured.out:
+        # a usage error or a hypothesis not met: a message and no payload
+        assert code in (1, 2) and captured.err
+        return
+    json.loads(captured.out, parse_constant=_reject_constant)
+    if command == ("decompose",):
+        path = tmp_path / "payload.json"
+        path.write_text(captured.out)
+        assert np.array_equal(fc.load_tensor(str(path)).components, R.components)
