@@ -188,7 +188,7 @@ def _dispatch(config: argparse.Namespace) -> tuple[dict, list[str], int]:
                   f"u = s/12 = {dec.u:.12g}",
                   f"W+ eigenvalues: {_vec(dec.wp_eigs)}",
                   f"W- eigenvalues: {_vec(dec.wm_eigs)}",
-                  f"|z block| = {np.linalg.norm(dec.z_block):.12g}",
+                  f"|z block| = {np.hypot.reduce(dec.z_block, axis=None):.12g}",
                   "W+ block:", _mat(dec.wplus),
                   "W- block:", _mat(dec.wminus),
                   "Z block:", _mat(dec.z_block)]

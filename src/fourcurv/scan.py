@@ -22,16 +22,27 @@ on a sphere is convex (Brickman, 1961), so there is no duality gap:
 
 and K_max is the same with -M.  g is concave and 1-Lipschitz, and its
 slope at t is |x|^2 - |y|^2 for the lowest eigenvector (x, y) of M + t *.
-The solve bisects on the sign of that slope from the bracket
-[-2|M|, 2|M|] (Frobenius norm) and stops once the bracket is no wider
-than 1e-15 |M|; bisecting further down to float resolution gains nothing
-and, when the optimum is t = 0 (S4, the flat torus), takes about a
-thousand steps.  The solve runs on M divided by the power of two at
-max|M|; that scaling is exact, and it keeps |M| from overflowing or
-underflowing at any finite scale.  The lowest eigenvectors at the two
-bracket ends have slopes of opposite sign, so one combination of them is
+The solve keeps a bracket [lo, hi], at first [-2|M|, 2|M|] (Frobenius
+norm), with slope >= 0 at lo and < 0 at hi.  The lowest eigenvectors at
+the two ends have slopes of opposite sign, so one combination of them is
 balanced, |x| = |y|; that combination, normalized to (h, k), is the
-attaining plane, and the reported extreme is its sectional value.
+attaining plane, and the reported extreme is its sectional value.  Each
+step tries a point inside the bracket and replaces the end whose slope
+sign it shares.  The point is the Newton step on the slope from the end
+with the larger g, with the curvature g'' = 2 sum_j (v_j' * v)^2 / (g - w_j)
+over the other eigenpairs of the same eigh call (second-order
+perturbation); where g'' is unknown (a double lowest eigenvalue) or that
+point leaves the bracket, it is the point where the tangents at the two
+ends meet, which is exact where two linear pieces of g cross (S4, CP2);
+and where two steps have not halved the bracket, it is the midpoint, so
+the bracket halves at least every third step.  This is the classic
+max-lambda_min problem over an affine family (Overton, SIAM J. Optim. 2,
+1992; Lewis and Overton, Acta Numerica 5, 1996).  The solve stops when
+the balanced plane's value is within 1e-15 |M| of the best dual value, or
+the bracket is no wider than that; a dual takes about six eigensolves.
+The solve runs on M divided by the power of two at max|M|; that scaling
+is exact, and it keeps |M| from overflowing or underflowing at any finite
+scale.
 
 Certificate.  For every t, g(t) <= K(P) on each plane, so the best dual
 value, lowered by a rounding allowance of the eigensolver, is a lower
@@ -61,7 +72,8 @@ SCAN_ACCURACY = 1e-6
 # the Hodge star in the SD/ASD block frame
 _STAR = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
 _STAR_MATRIX = np.diag(_STAR)
-# bisection stops at this bracket width, relative to |M|
+# the solve stops once the balanced plane's value is this close to the dual
+# value, or the bracket this narrow, relative to |M|
 _BRACKET_REL = 1e-15
 # rounding allowance on the dual bounds, relative to |M|: the computed dual
 # value exceeded the computed attained value by at most 4.2 eps |M| over
@@ -136,39 +148,64 @@ def batch_biorthogonal(R: RiemannTensor, hs: np.ndarray, ks: np.ndarray) -> np.n
     return 0.5 * (aq + cq)
 
 
-def _lowest(mp: np.ndarray, t: float) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of mp + t *."""
+def _lowest(mp: np.ndarray, t: float, tol: float) -> tuple[float, np.ndarray, float, float]:
+    """(g, v, g', g''): the lowest eigenpair of mp + t * and the slope and curvature of g.
+
+    The slope is v' * v and the curvature 2 sum_j (v_j' * v)^2 / (g - w_j) over
+    the other eigenpairs (second-order perturbation); where the lowest gap is at
+    most tol, the eigenvalue is double to working precision and the curvature
+    is reported as 0, i.e. unknown.
+    """
     w, v = np.linalg.eigh(mp + t * _STAR_MATRIX)
-    return float(w[0]), v[:, 0]
+    c = (_STAR * v[:, 0]) @ v
+    gap = w[1:] - w[0]
+    curv = float(-2.0 * (c[1:] ** 2 / gap).sum()) if gap[0] > tol else 0.0
+    return float(w[0]), v[:, 0], float(c[0]), curv
+
+
+def _balanced(v_lo: np.ndarray, s_lo: float, v_hi: np.ndarray, s_hi: float) -> np.ndarray:
+    """The combination a v_lo + b v_hi (a, b >= 0) with |x| = |y|.
+
+    s_lo >= 0 > s_hi are the slopes v_lo' * v_lo and v_hi' * v_hi.
+    """
+    # a positive root of s_lo a^2 + 2 c a b + s_hi b^2 = 0; aligning the
+    # eigenvector signs first keeps the mix from cancelling
+    if v_lo @ v_hi < 0.0:
+        v_hi = -v_hi
+    c = float(v_lo @ (_STAR * v_hi))
+    d = float(np.sqrt(c * c - s_lo * s_hi))
+    a, b = (-s_hi, c + d) if c > 0.0 else (d - c, s_lo)
+    return a * v_lo + b * v_hi if a or b else v_lo
 
 
 def _dual_min(mp: np.ndarray, norm: float) -> tuple[float, np.ndarray, np.ndarray]:
     """(g, h, k): the dual value max_t lambda_min(mp + t *) and a plane attaining it."""
     # the zero operator is scale-free: any bracket around t = 0 will do
     width = norm or 1.0
+    tol = _BRACKET_REL * width
     lo, hi = -2.0 * width, 2.0 * width
-    g_lo, v_lo = _lowest(mp, lo)
-    g_hi, v_hi = _lowest(mp, hi)
-    while hi - lo > _BRACKET_REL * width:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
+    g_lo, v_lo, s_lo, c_lo = _lowest(mp, lo, tol)
+    g_hi, v_hi, s_hi, c_hi = _lowest(mp, hi, tol)
+    spans = [np.inf, np.inf]  # the bracket width two steps and one step back
+    while True:
+        v = _balanced(v_lo, s_lo, v_hi, s_hi)
+        if (float(v @ mp @ v) / float(v @ v) - max(g_lo, g_hi) <= tol
+                or hi - lo <= tol):
             break
-        g, v = _lowest(mp, mid)
-        if v @ (_STAR * v) >= 0.0:
-            lo, g_lo, v_lo = mid, g, v
+        t, s, c = (lo, s_lo, c_lo) if g_lo >= g_hi else (hi, s_hi, c_hi)
+        t = t - s / c if c < 0.0 else np.nan
+        if not lo < t < hi:
+            t = lo + (g_hi - g_lo - s_hi * (hi - lo)) / (s_lo - s_hi)
+        if not lo < t < hi or 2.0 * (hi - lo) > spans[0]:
+            t = 0.5 * (lo + hi)
+            if not lo < t < hi:
+                break
+        spans = [spans[1], hi - lo]
+        g, u, s, c = _lowest(mp, t, tol)
+        if s >= 0.0:
+            lo, g_lo, v_lo, s_lo, c_lo = t, g, u, s, c
         else:
-            hi, g_hi, v_hi = mid, g, v
-    # balance: (a v_lo + b v_hi) has |x| = |y| for a, b >= 0, a positive
-    # root of s_lo a^2 + 2 c a b + s_hi b^2 = 0 with s_lo >= 0 >= s_hi;
-    # aligning the eigenvector signs first keeps the mix from cancelling
-    if v_lo @ v_hi < 0.0:
-        v_hi = -v_hi
-    s_lo = max(float(v_lo @ (_STAR * v_lo)), 0.0)
-    s_hi = min(float(v_hi @ (_STAR * v_hi)), 0.0)
-    c = float(v_lo @ (_STAR * v_hi))
-    d = float(np.sqrt(c * c - s_lo * s_hi))
-    a, b = (-s_hi, c + d) if c > 0.0 else (d - c, s_lo)
-    v = a * v_lo + b * v_hi if a or b else v_lo
+            hi, g_hi, v_hi, s_hi, c_hi = t, g, u, s, c
     h, k = v[:3], v[3:]
     return max(g_lo, g_hi), h / np.linalg.norm(h), k / np.linalg.norm(k)
 

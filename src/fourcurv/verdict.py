@@ -151,8 +151,9 @@ def theorem1_verdict(dec: CurvatureDecomposition, scan: PinchingReport,
         raise InconsistentInputs(
             "decomposition and scan disagree on k1perp; not the same tensor?")
     scale = max(1.0, abs(dec.s) / 12.0)
-    wp_norm = float(np.linalg.norm(dec.wplus))
-    wm_norm = float(np.linalg.norm(dec.wminus))
+    # Frobenius norms by hypot, which forms no squares and so cannot overflow
+    wp_norm = float(np.hypot.reduce(dec.wplus, axis=None))
+    wm_norm = float(np.hypot.reduce(dec.wminus, axis=None))
     notes = []
     work = dec
     if wm_norm <= tol * scale:
@@ -196,7 +197,8 @@ def theorem2_threshold(s: float, lambda1: float) -> float:
         raise NonPositiveInput(
             f"threshold needs s > 0 and 0 < lambda1 < inf, got s={s}, "
             f"lambda1={lambda1}")
-    return s ** 2 / (24.0 * (3.0 * lambda1 + s))
+    # in this order no intermediate overflows where the threshold does not
+    return (s / 24.0) * (s / (3.0 * lambda1 + s))
 
 
 def discriminant(lambda1, s, k1perp, a, b):

@@ -314,11 +314,15 @@ _SUBCOMMANDS = [("decompose",), ("scan",), ("weitzenbock",),
                 ("verdict", "thm2"), ("model", "list"), ("model", "export")]
 
 
-@pytest.mark.parametrize("source", ["S4", "CP2", "FlatT4", "random"])
+# scales of the random --input tensors; 1e200 squares past the float range
+_RANDOM_SCALES = {"random": 2.0, "random-1e200": 1e200, "random-1e-200": 1e-200}
+
+
+@pytest.mark.parametrize("source", ["S4", "CP2", "FlatT4", *_RANDOM_SCALES])
 @pytest.mark.parametrize("command", _SUBCOMMANDS)
 def test_json_payload_is_strict(tmp_path, capsys, command, source):
-    if source == "random":
-        R = fc.random_algebraic_tensor(3, scale=2.0)
+    if source in _RANDOM_SCALES:
+        R = fc.random_algebraic_tensor(3, scale=_RANDOM_SCALES[source])
         fc.save_tensor(R, str(tmp_path / "random.json"))
         flags = ("--input", str(tmp_path / "random.json"))
     else:
@@ -336,3 +340,15 @@ def test_json_payload_is_strict(tmp_path, capsys, command, source):
         path = tmp_path / "payload.json"
         path.write_text(captured.out)
         assert np.array_equal(fc.load_tensor(str(path)).components, R.components)
+
+
+def test_decompose_text_at_extreme_scale(tmp_path, capsys):
+    R = fc.random_algebraic_tensor(3, scale=1e200)
+    fc.save_tensor(R, str(tmp_path / "big.json"))
+    assert run_cli("decompose", "--input", str(tmp_path / "big.json")) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    line = next(x for x in captured.out.splitlines() if x.startswith("|z block|"))
+    z_norm = float(line.split("=")[1])
+    exact = np.linalg.norm(fc.decompose(R).z_block / 1e200) * 1e200
+    assert z_norm == pytest.approx(exact, rel=1e-11)

@@ -138,16 +138,27 @@ def _unit_rows(rng, n):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def test_dual_certificate(models):
-    # the dual bounds bracket the attained extremes to 1e-12 |M|, and 10^4
+def _rotated_models(rng, n):
+    """Each model and n random rotations of it; rotations keep the kinks of g."""
+    out = []
+    for name in fc.model_names():
+        R = fc.model(name).tensor
+        out.append(R)
+        out += [fc.rotate_tensor(R, fc.random_frame(rng).columns) for _ in range(n)]
+    return out
+
+
+def test_dual_certificate(pinched_batch):
+    # the dual bounds bracket the attained extremes to 1e-14 |M|, and 10^4
     # random planes per tensor, an independent primal oracle, lie inside
     rng = np.random.default_rng(3)
-    tensors = [ms.tensor for ms in models.values()]
+    tensors = _rotated_models(rng, 5)
+    tensors += [R for R, _, _ in pinched_batch[:20]]
     tensors += [fc.random_algebraic_tensor(rng, scale=scale)
                 for scale in 10.0 ** rng.uniform(-3.0, 3.0, size=200)]
     for R in tensors:
         scan = fc.scan_extremes(R)
-        tol = 1e-12 * np.linalg.norm(fc.operator_from_tensor(R).matrix)
+        tol = 1e-14 * np.linalg.norm(fc.operator_from_tensor(R).matrix)
         assert scan.k_min_lower <= scan.k_min <= scan.k_min_lower + tol
         assert scan.k_max_upper - tol <= scan.k_max <= scan.k_max_upper
         vals = fc.batch_sectional(R, _unit_rows(rng, 10_000),
@@ -187,6 +198,29 @@ def test_scan_independent_of_eigenvector_signs(rng, monkeypatch):
         tol = 1e-12 * np.linalg.norm(fc.operator_from_tensor(R).matrix)
         for field in ("k_min", "k_max", "k_min_lower", "k_max_upper"):
             assert abs(getattr(scan, field) - getattr(ref, field)) <= tol
+
+
+def test_scan_eigensolve_count(rng, pinched_batch, monkeypatch):
+    # a scan takes about 13 eigensolves on these inputs; plain bisection to
+    # 1e-15 |M| would take 110
+    tensors = [fc.random_algebraic_tensor(rng) for _ in range(200)]
+    tensors += _rotated_models(rng, 5)
+    tensors += [R for R, _, _ in pinched_batch[:20]]
+    real = np.linalg.eigh
+    calls = [0]
+
+    def counted(m):
+        calls[0] += 1
+        return real(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    counts = []
+    for R in tensors:
+        calls[0] = 0
+        fc.scan_extremes(R)
+        counts.append(calls[0])
+    assert np.mean(counts) <= 20
+    assert max(counts) <= 40
 
 
 def test_scan_rejects_a_budget():
