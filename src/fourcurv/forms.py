@@ -126,9 +126,12 @@ def sd_asd_split(omega: Form2) -> tuple[Form2, Form2]:
 
 def wedge(x, y) -> Form2:
     """Coefficients of x^y for two 4-vectors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return Form2(x[_I] * y[_J] - x[_J] * y[_I])
+    return Form2(_wedges(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
+
+
+def _wedges(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Wedge coefficients (..., 6) of paired rows of 4-vectors (..., 4)."""
+    return x[..., _I] * y[..., _J] - x[..., _J] * y[..., _I]
 
 
 def form_matrix(omega: Form2) -> np.ndarray:

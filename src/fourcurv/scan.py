@@ -34,12 +34,15 @@ over the other eigenpairs of the same eigh call (second-order
 perturbation); where g'' is unknown (a double lowest eigenvalue) or that
 point leaves the bracket, it is the point where the tangents at the two
 ends meet, which is exact where two linear pieces of g cross (S4, CP2);
-and where two steps have not halved the bracket, it is the midpoint, so
-the bracket halves at least every third step.  This is the classic
-max-lambda_min problem over an affine family (Overton, SIAM J. Optim. 2,
-1992; Lewis and Overton, Acta Numerica 5, 1996).  The solve stops when
-the balanced plane's value is within 1e-15 |M| of the best dual value, or
-the bracket is no wider than that; a dual takes about six eigensolves.
+and where two steps have halved neither the bracket nor the slope at the
+end with the larger g, it is the midpoint.  So a Newton solve closing in
+on a smooth maximum from one side, which leaves the far end in place,
+goes on undisturbed, and a stalled one is bisected every third step.
+This is the classic max-lambda_min problem over an affine family
+(Overton, SIAM J. Optim. 2, 1992; Lewis and Overton, Acta Numerica 5,
+1996).  The solve stops when the balanced plane's value is within
+1e-15 |M| of the best dual value, or the bracket is no wider than that;
+a dual takes about six eigensolves.
 The solve runs on M divided by the power of two at max|M|; that scaling
 is exact, and it keeps |M| from overflowing or underflowing at any finite
 scale.
@@ -52,6 +55,10 @@ gaps k_min - k_min_lower and k_max_upper - k_max bound how far the
 reported extremes can be from the true ones; they stay within a few
 units of 1e-15 |M|.  A pinching test that must err on the safe side
 (K >= delta, K <= 1) uses the bounds, not the attained values.
+
+The Seaman check reads the fully mixed component R(e1,e2,e3,e4) off the
+same operator, as (e1^e2)' M (e3^e4) with both wedges in the block frame,
+for a whole stack of frames at once.
 """
 from __future__ import annotations
 
@@ -59,10 +66,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import Plane2, asd_form, complement, plane_from_sd_asd, sd_form
+from .forms import (BLOCK_BASIS, Plane2, _wedges, asd_form, complement,
+                    plane_from_sd_asd, sd_form)
 from .reporting import CheckReport
-from .tensor import (CurvatureDecomposition, RiemannTensor, _block_frame, decompose,
-                     operator_from_tensor)
+from .tensor import (CurvatureDecomposition, RiemannTensor, _block_frame, _blocks,
+                     decompose, operator_from_tensor)
 
 # margin the pinching preconditions allow on the certified bounds, so that a
 # delta read off the scan itself (k_min / k_max, after rescaling k_max to 1)
@@ -186,21 +194,23 @@ def _dual_min(mp: np.ndarray, norm: float) -> tuple[float, np.ndarray, np.ndarra
     lo, hi = -2.0 * width, 2.0 * width
     g_lo, v_lo, s_lo, c_lo = _lowest(mp, lo, tol)
     g_hi, v_hi, s_hi, c_hi = _lowest(mp, hi, tol)
-    spans = [np.inf, np.inf]  # the bracket width two steps and one step back
+    # the bracket width and the near end's |slope|, two steps and one step back
+    spans, slopes = [np.inf, np.inf], [np.inf, np.inf]
     while True:
         v = _balanced(v_lo, s_lo, v_hi, s_hi)
         if (float(v @ mp @ v) / float(v @ v) - max(g_lo, g_hi) <= tol
                 or hi - lo <= tol):
             break
         t, s, c = (lo, s_lo, c_lo) if g_lo >= g_hi else (hi, s_hi, c_hi)
+        progress = 2.0 * (hi - lo) <= spans[0] or 2.0 * abs(s) < slopes[0]
+        spans, slopes = [spans[1], hi - lo], [slopes[1], abs(s)]
         t = t - s / c if c < 0.0 else np.nan
         if not lo < t < hi:
             t = lo + (g_hi - g_lo - s_hi * (hi - lo)) / (s_lo - s_hi)
-        if not lo < t < hi or 2.0 * (hi - lo) > spans[0]:
+        if not (lo < t < hi and progress):
             t = 0.5 * (lo + hi)
             if not lo < t < hi:
                 break
-        spans = [spans[1], hi - lo]
         g, u, s, c = _lowest(mp, t, tol)
         if s >= 0.0:
             lo, g_lo, v_lo, s_lo, c_lo = t, g, u, s, c
@@ -275,17 +285,22 @@ def seaman_check(R: RiemannTensor, n_frames: int = 100, seed: int = 0,
                  tol: float = 1e-9) -> CheckReport:
     """|R(e1,e2,e3,e4)| <= (2/3)(K3perp - K1perp) over random oriented frames.
 
-    Only the fully mixed component enters; the bound uses the closed-form
-    biorthogonal extremes.
+    Only the fully mixed component enters.  It is read off the operator,
+    R(e1,e2,e3,e4) = (e1^e2)' M (e3^e4), with both wedges taken in the
+    block frame; the bound uses the closed-form biorthogonal extremes.  A
+    frame violates the bound when it exceeds it by more than tol max|R|,
+    and max_ratio is reported (else 0) where the bound exceeds 1e-15 max|R|.
     """
     dec = decompose(R)
+    scale = float(np.abs(R.components).max())
     bound = (2.0 / 3.0) * (k3perp_closed_form(dec) - k1perp_closed_form(dec))
     rng = np.random.default_rng(seed)
     q = random_frames(rng, n_frames)
-    comp = np.einsum("ijkl,ni,nj,nk,nl->n", R.components,
-                     q[:, :, 0], q[:, :, 1], q[:, :, 2], q[:, :, 3])
+    e12 = _wedges(q[:, :, 0], q[:, :, 1]) @ BLOCK_BASIS
+    e34 = _wedges(q[:, :, 2], q[:, :, 3]) @ BLOCK_BASIS
+    comp = ((e12 @ _blocks(dec)) * e34).sum(axis=1)
     max_abs = float(np.abs(comp).max()) if n_frames else 0.0
-    ratio = max_abs / bound if bound > 1e-15 else 0.0
+    ratio = max_abs / bound if bound > 1e-15 * scale else 0.0
     return CheckReport.from_slack(
-        "seaman", bound - np.abs(comp), tol,
+        "seaman", bound - np.abs(comp), tol * scale,
         metrics={"bound": bound, "max_abs_component": max_abs, "max_ratio": ratio})

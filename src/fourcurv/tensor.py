@@ -91,16 +91,24 @@ class CurvatureDecomposition:
     wm_eigs: np.ndarray
 
 
+# flat indices of c permuted as c and each transpose the symmetries compare it
+# with; the rows of _SYMMETRY_SUMS add them up, with exact weights 0 and +-1,
+# into the four residuals of validate_symmetries and then c itself for max|R|
+_SYMMETRY_GATHER = np.stack([
+    np.arange(256).reshape(4, 4, 4, 4).transpose(axes).ravel()
+    for axes in ((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1),
+                 (0, 2, 3, 1), (0, 3, 1, 2))])
+_SYMMETRY_SUMS = np.array([[1, 1, 0, 0, 0, 0], [1, 0, 1, 0, 0, 0], [1, 0, 0, -1, 0, 0],
+                           [1, 0, 0, 0, 1, 1], [1, 0, 0, 0, 0, 0]], dtype=float)
+
+
 def validate_symmetries(R: RiemannTensor) -> SymmetryReport:
     """Residuals of the index symmetries, tested against SYMMETRY_TOL max|R|."""
-    c = R.components
-    return SymmetryReport(
-        antisym_first=float(np.abs(c + c.transpose(1, 0, 2, 3)).max()),
-        antisym_second=float(np.abs(c + c.transpose(0, 1, 3, 2)).max()),
-        pair_symmetry=float(np.abs(c - c.transpose(2, 3, 0, 1)).max()),
-        bianchi=float(np.abs(c + c.transpose(0, 2, 3, 1) + c.transpose(0, 3, 1, 2)).max()),
-        tol=SYMMETRY_TOL * float(np.abs(c).max()),
-    )
+    gathered = R.components.ravel()[_SYMMETRY_GATHER]
+    first, second, pair, bianchi, size = np.abs(_SYMMETRY_SUMS @ gathered).max(axis=1).tolist()
+    return SymmetryReport(antisym_first=first, antisym_second=second,
+                          pair_symmetry=pair, bianchi=bianchi,
+                          tol=SYMMETRY_TOL * size)
 
 
 def _require_valid(R: RiemannTensor) -> None:
@@ -170,8 +178,12 @@ def assemble_operator(dec: CurvatureDecomposition) -> CurvatureOperator:
 def _blocks(dec: CurvatureDecomposition) -> np.ndarray:
     """The operator in the block frame, [[W+ + uI, Z], [Z^T, W- + uI]]."""
     eye = dec.u * np.eye(3)
-    return np.block([[dec.wplus + eye, dec.z_block],
-                     [dec.z_block.T, dec.wminus + eye]])
+    mp = np.empty((6, 6))
+    mp[:3, :3] = dec.wplus + eye
+    mp[:3, 3:] = dec.z_block
+    mp[3:, :3] = dec.z_block.T
+    mp[3:, 3:] = dec.wminus + eye
+    return mp
 
 
 def random_algebraic_tensor(seed, scale: float = 1.0) -> RiemannTensor:
@@ -182,10 +194,14 @@ def random_algebraic_tensor(seed, scale: float = 1.0) -> RiemannTensor:
     <M, star> = 0, removed by projection.  Deterministic per seed.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    n = rng.normal(size=(6, 6)) * scale
-    m = 0.5 * (n + n.T)
-    m -= (np.tensordot(m, STAR_MATRIX) / 6.0) * STAR_MATRIX
-    return RiemannTensor(_tensor_from_matrix(m))
+    return RiemannTensor(_tensor_from_matrix(_algebraic(rng.normal(size=(6, 6)) * scale)))
+
+
+def _algebraic(noise: np.ndarray) -> np.ndarray:
+    """Operators (..., 6, 6) from noise: symmetrized, with the star component removed."""
+    m = 0.5 * (noise + np.swapaxes(noise, -1, -2))
+    star = np.tensordot(m, STAR_MATRIX, axes=([-2, -1], [0, 1])) / 6.0
+    return m - star[..., None, None] * STAR_MATRIX
 
 
 def rotate_tensor(R: RiemannTensor, frame: np.ndarray) -> RiemannTensor:

@@ -201,8 +201,8 @@ def test_scan_independent_of_eigenvector_signs(rng, monkeypatch):
 
 
 def test_scan_eigensolve_count(rng, pinched_batch, monkeypatch):
-    # a scan takes about 13 eigensolves on these inputs; plain bisection to
-    # 1e-15 |M| would take 110
+    # a scan takes about 13 eigensolves on these inputs, at most 21; plain
+    # bisection to 1e-15 |M| would take 110
     tensors = [fc.random_algebraic_tensor(rng) for _ in range(200)]
     tensors += _rotated_models(rng, 5)
     tensors += [R for R, _, _ in pinched_batch[:20]]
@@ -219,8 +219,8 @@ def test_scan_eigensolve_count(rng, pinched_batch, monkeypatch):
         calls[0] = 0
         fc.scan_extremes(R)
         counts.append(calls[0])
-    assert np.mean(counts) <= 20
-    assert max(counts) <= 40
+    assert np.mean(counts) <= 16
+    assert max(counts) <= 30
 
 
 def test_scan_rejects_a_budget():
@@ -239,3 +239,46 @@ def test_seaman_check_no_violations_on_models(models):
         report = fc.seaman_check(models[name].tensor, n_frames=200, seed=3)
         assert report.passed
         assert report.n_violations == 0
+
+
+def _mixed_components(R, n_frames, seed):
+    """R(e1,e2,e3,e4) over seaman_check's frames, by the 4-index contraction."""
+    q = fc.random_frames(np.random.default_rng(seed), n_frames)
+    return np.einsum("ijkl,ni,nj,nk,nl->n", R.components,
+                     q[:, :, 0], q[:, :, 1], q[:, :, 2], q[:, :, 3])
+
+
+def test_seaman_component_matches_the_contraction(rng):
+    # the component read off the operator against the 4-index contraction,
+    # on random tensors at scales 1e-3..1e3 and on rotated models
+    tensors = [fc.random_algebraic_tensor(rng, scale=10.0 ** rng.uniform(-3, 3))
+               for _ in range(100)]
+    tensors += _rotated_models(rng, 5)
+    for i, R in enumerate(tensors):
+        tol = 1e-12 * np.abs(R.components).max()
+        report = fc.seaman_check(R, n_frames=50, seed=i)
+        comp = np.abs(_mixed_components(R, 50, i))
+        assert abs(report.metrics["max_abs_component"] - comp.max()) <= tol
+        assert abs(report.min_slack - (report.metrics["bound"] - comp.max())) <= tol
+        # one frame per call: each component on its own
+        for seed in range(3):
+            one = fc.seaman_check(R, n_frames=1, seed=seed)
+            assert abs(one.metrics["max_abs_component"]
+                       - abs(_mixed_components(R, 1, seed)[0])) <= tol
+
+
+@pytest.mark.parametrize("r", [1e-4, 1e-6])
+def test_seaman_tolerance_scales_with_the_tensor(r):
+    # on a small sphere the bound is 0 and the components are rounding
+    # noise of size eps / r^2, far above an absolute 1e-9
+    report = fc.seaman_check(fc.model("S4", r=r).tensor, n_frames=200, seed=3)
+    assert report.metrics["bound"] == 0.0
+    assert report.passed
+
+
+def test_seaman_ratio_is_scale_free():
+    # max_ratio is homogeneous of degree 0; at scale 1e-20 it read 0
+    unit = fc.seaman_check(fc.random_algebraic_tensor(3), n_frames=100)
+    tiny = fc.seaman_check(fc.random_algebraic_tensor(3, scale=1e-20), n_frames=100)
+    assert 0.0 < unit.metrics["max_ratio"] <= 1.0
+    assert tiny.metrics["max_ratio"] == pytest.approx(unit.metrics["max_ratio"], rel=1e-12)

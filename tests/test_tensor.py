@@ -115,6 +115,23 @@ def test_small_bianchi_violation_on_a_small_tensor_rejected():
         fc.decompose(bad)
 
 
+def test_symmetry_residuals_match_the_transpose_formulas(rng):
+    # bit for bit, on valid, rotated and perturbed tensors
+    for i in range(300):
+        c = fc.random_algebraic_tensor(rng, scale=10.0 ** rng.uniform(-3, 3)).components
+        if i % 3 == 1:
+            c = fc.rotate_tensor(fc.RiemannTensor(c), fc.random_frame(rng).columns).components
+        if i % 2:
+            c = c + rng.normal(size=c.shape) * 10.0 ** rng.uniform(-14, -1) * np.abs(c).max()
+        report = fc.validate_symmetries(fc.RiemannTensor(c))
+        assert report.antisym_first == np.abs(c + c.transpose(1, 0, 2, 3)).max()
+        assert report.antisym_second == np.abs(c + c.transpose(0, 1, 3, 2)).max()
+        assert report.pair_symmetry == np.abs(c - c.transpose(2, 3, 0, 1)).max()
+        assert report.bianchi == np.abs(
+            c + c.transpose(0, 2, 3, 1) + c.transpose(0, 3, 1, 2)).max()
+        assert report.tol == fc.tensor.SYMMETRY_TOL * np.abs(c).max()
+
+
 def test_random_tensor_is_algebraic(rng):
     for _ in range(100):
         R = fc.random_algebraic_tensor(rng)

@@ -97,6 +97,53 @@ def test_lemma1_suite_small():
     assert 0.0 <= report.metrics["near_equality_fraction"] <= 1.0
 
 
+def lemma1_sides_from_blocks(R, omegas):
+    """Lemma 1's sides in the wedge basis, from a decomposition."""
+    dec = fc.decompose(R)
+    k1p = fc.k1perp_closed_form(dec)
+    nw = fc.weitzenbock_from_blocks(dec).matrix
+    star = omegas @ fc.STAR_MATRIX
+    ap2 = ((0.5 * (omegas + star)) ** 2).sum(axis=1)
+    am2 = ((0.5 * (omegas - star)) ** 2).sum(axis=1)
+    lhs = np.einsum("ni,ij,nj->n", omegas, nw, omegas)
+    rhs = 4.0 * k1p * (ap2 + am2) - (dec.s - 12.0 * k1p) / 3.0 * np.abs(ap2 - am2)
+    return lhs, rhs
+
+
+def test_lemma1_sides_match_the_wedge_basis_route(rng):
+    for _ in range(100):
+        R = fc.random_algebraic_tensor(rng, scale=10.0 ** rng.uniform(-3, 3))
+        omegas = rng.normal(size=(20, 6))
+        tol = 1e-12 * np.abs(R.components).max()
+        for got, want in zip(fc.lemma1_sides(R, omegas), lemma1_sides_from_blocks(R, omegas)):
+            assert np.abs(got - want).max() <= tol * np.abs(omegas).max() ** 2
+
+
+@pytest.mark.parametrize("n_tensors,n_forms,seed", [(200, 50, 0), (1, 100, 3), (37, 1, 8)])
+def test_lemma1_suite_matches_a_per_tensor_loop(n_tensors, n_forms, seed):
+    # the stacked suite draws the same samples as one tensor and its forms
+    # at a time from the generator, and evaluates them by the other route
+    gen = np.random.default_rng(seed)
+    slack = []
+    for _ in range(n_tensors):
+        R = fc.random_algebraic_tensor(gen)
+        lhs, rhs = lemma1_sides_from_blocks(R, gen.normal(size=(n_forms, 6)))
+        slack.append(lhs - rhs)
+    slack = np.concatenate(slack)
+    report = fc.lemma1_suite(n_tensors=n_tensors, n_forms=n_forms, seed=seed)
+    assert report.n_samples == slack.size
+    assert report.n_violations == int((slack < -1e-9).sum())
+    assert report.metrics["near_equality_fraction"] * slack.size == (slack < 1e-6).sum()
+    assert abs(report.min_slack - slack.min()) <= 1e-12
+
+
+def test_lemma1_suite_without_samples():
+    for n_tensors, n_forms in ((0, 10), (5, 0)):
+        report = fc.lemma1_suite(n_tensors=n_tensors, n_forms=n_forms)
+        assert report.n_samples == 0 and report.passed
+        assert report.min_slack == np.inf
+
+
 def test_adapted_frame_reconstruction(rng):
     for _ in range(100):
         omega = fc.Form2(rng.normal(size=6))
@@ -163,3 +210,13 @@ def test_k3_bound_random(rng):
         report = fc.k3_bound_check(fc.decompose(fc.random_algebraic_tensor(rng)))
         assert report.passed
         assert report.min_slack >= -1e-12
+
+
+def test_k3_bound_tolerance_scales_with_the_tensor():
+    # the equality cases at large curvature, in rotated frames: the slack is
+    # rounding noise of size eps max|R|, far above an absolute 1e-12
+    for R in (fc.model("S4", r=1.6e-5).tensor, fc.model("S2xS2", a=1e-6).tensor):
+        for seed in range(400):
+            frame = fc.random_frame(np.random.default_rng(seed)).columns
+            report = fc.k3_bound_check(fc.decompose(fc.rotate_tensor(R, frame)))
+            assert report.passed, (seed, report.min_slack)
