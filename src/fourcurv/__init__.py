@@ -19,7 +19,7 @@ from .forms import (ASD_BASIS, BLOCK_BASIS, SD_BASIS, STAR_MATRIX, Form2,
                     Frame4, Plane2, asd_coords, asd_form, complement,
                     form_matrix, hodge_star, plane_from_sd_asd,
                     plane_from_vectors, plane_vectors, random_frame,
-                    sd_asd_split, sd_coords, sd_form, wedge)
+                    random_frames, sd_asd_split, sd_coords, sd_form, wedge)
 from .invariants import (IntegrandValues, fg_value, gbc_integrand,
                          homogeneous_invariants, integrand_values,
                          signature_integrand)
@@ -27,8 +27,7 @@ from .models import ModelSpace, model, model_names, pinched_sample
 from .reporting import CheckReport
 from .scan import (SCAN_ACCURACY, PinchingReport, batch_biorthogonal,
                    batch_sectional, biorthogonal, k1perp_closed_form,
-                   k3perp_closed_form, operator_blocks, random_frames,
-                   scan_extremes, seaman_check, sectional)
+                   k3perp_closed_form, scan_extremes, seaman_check, sectional)
 from .tensor import (CurvatureDecomposition, CurvatureOperator, RiemannTensor,
                      SymmetryReport, assemble_operator, decompose,
                      load_tensor, operator_from_tensor,

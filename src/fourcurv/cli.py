@@ -32,11 +32,12 @@ from .models import model, model_names, pinched_sample
 from .reporting import CheckReport
 from .scan import SCAN_ACCURACY, scan_extremes, seaman_check
 from .tensor import (RiemannTensor, decompose, load_tensor,
-                     random_algebraic_tensor, tensor_to_dict)
+                     operator_from_tensor, random_algebraic_tensor,
+                     tensor_to_dict)
 from .verdict import CRITICAL_DELTA, critical_delta, theorem1_verdict, \
     theorem2_verdict
 from .ville import deg_lower_bound, operator_bound_check, znorm_bound_check
-from .weitzenbock import (k3_bound_check, lemma1_sides, lemma1_suite,
+from .weitzenbock import (_lemma1_slack, k3_bound_check, lemma1_suite,
                           weitzenbock_operator)
 
 _CHECK_TOL = 1e-9
@@ -167,8 +168,9 @@ def _lemma1_on(R: RiemannTensor, n_forms: int, seed: int,
                tol: float) -> CheckReport:
     """Lemma 1 on one tensor over n_forms seeded random unit forms."""
     omegas = np.random.default_rng(seed).normal(size=(n_forms, 6))
-    lhs, rhs = lemma1_sides(R, omegas / np.linalg.norm(omegas, axis=1, keepdims=True))
-    return CheckReport.from_slack("lemma1", lhs - rhs, tol)
+    slack, scale = _lemma1_slack(operator_from_tensor(R).matrix,
+                                 omegas / np.linalg.norm(omegas, axis=1, keepdims=True))
+    return CheckReport.from_slack("lemma1", slack, tol * scale)
 
 
 def _dispatch(config: argparse.Namespace) -> tuple[dict, list[str], int]:

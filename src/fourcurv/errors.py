@@ -50,7 +50,8 @@ class UnknownModel(CurvatureError):
 
 
 class NonPositiveParam(CurvatureError):
-    """A model scale parameter must be positive."""
+    """A model scale parameter must be positive and finite, and so must the
+    volume, lambda1 and curvature it gives the model."""
 
 
 class SamplingExhausted(CurvatureError):

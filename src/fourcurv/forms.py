@@ -219,10 +219,14 @@ def plane_vectors(plane: Plane2) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def random_frames(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n oriented orthonormal frames, stacked (n, 4, 4), columns = vectors."""
+    q, r = np.linalg.qr(rng.normal(size=(n, 4, 4)))
+    q = q * np.sign(np.einsum("nii->ni", r))[:, None, :]
+    q[np.linalg.det(q) < 0, :, 0] *= -1.0
+    return q
+
+
 def random_frame(rng: np.random.Generator) -> Frame4:
     """Haar-ish random oriented orthonormal frame."""
-    q, r = np.linalg.qr(rng.normal(size=(4, 4)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return Frame4(q)
+    return Frame4(random_frames(rng, 1)[0])

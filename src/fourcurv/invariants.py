@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHomogeneous
+from .errors import CurvatureError, NotHomogeneous
 from .tensor import CurvatureDecomposition, decompose
 
 _PI2 = np.pi ** 2
@@ -34,29 +34,37 @@ class IntegrandValues:
     chi_minus_2tau_density: float
 
 
-def _norms(dec: CurvatureDecomposition) -> tuple[float, float, float]:
-    wp2 = float((dec.wp_eigs ** 2).sum())
-    wm2 = float((dec.wm_eigs ** 2).sum())
-    ric02 = float((dec.ric0 ** 2).sum())
-    return wp2, wm2, ric02
+def _norms(dec: CurvatureDecomposition) -> tuple[float, float, float, float]:
+    """(s^2, |W+|^2, |W-|^2, |ric0|^2), inf where one leaves the float range."""
+    with np.errstate(over="ignore"):
+        return (dec.s * dec.s, float((dec.wp_eigs ** 2).sum()),
+                float((dec.wm_eigs ** 2).sum()), float((dec.ric0 ** 2).sum()))
+
+
+def _in_range(value: float) -> float:
+    """value, or CurvatureError where the degree-2 quantities behind it overflow."""
+    if not np.isfinite(value):
+        raise CurvatureError("a curvature integrand leaves the float range "
+                             "at this scale of the tensor")
+    return value
 
 
 def gbc_integrand(dec: CurvatureDecomposition) -> float:
     """Gauss-Bonnet-Chern density; integrates to the Euler characteristic."""
-    wp2, wm2, ric02 = _norms(dec)
-    return (dec.s ** 2 / 24.0 + wp2 + wm2 - 0.5 * ric02) / (8.0 * _PI2)
+    s2, wp2, wm2, ric02 = _norms(dec)
+    return _in_range((s2 / 24.0 + wp2 + wm2 - 0.5 * ric02) / (8.0 * _PI2))
 
 
 def signature_integrand(dec: CurvatureDecomposition) -> float:
     """Hirzebruch density; integrates to the signature."""
-    wp2, wm2, _ = _norms(dec)
-    return (wp2 - wm2) / (12.0 * _PI2)
+    _, wp2, wm2, _ = _norms(dec)
+    return _in_range((wp2 - wm2) / (12.0 * _PI2))
 
 
 def fg_value(dec: CurvatureDecomposition) -> float:
     """The chi - 2 tau combination before dividing by 8 pi^2."""
-    wp2, wm2, ric02 = _norms(dec)
-    return dec.s ** 2 / 24.0 - wp2 / 3.0 + 7.0 * wm2 / 3.0 - 0.5 * ric02
+    s2, wp2, wm2, ric02 = _norms(dec)
+    return _in_range(s2 / 24.0 - wp2 / 3.0 + 7.0 * wm2 / 3.0 - 0.5 * ric02)
 
 
 def integrand_values(dec: CurvatureDecomposition) -> IntegrandValues:

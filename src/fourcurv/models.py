@@ -1,8 +1,13 @@
 """Built-in model spaces and a generator of random pinched samples.
 
-Each model carries its exact curvature tensor in an orthonormal frame,
-its volume, its first nonzero Laplace eigenvalue on functions, and the
-Euler characteristic and signature it should reproduce through the
+Each model is given by its curvature operator on 2-forms in the wedge
+basis, and its tensor is filled in from that: I/r^2 for S4 of radius r,
+diag(1/a^2, 0, 0, 0, 0, 1/b^2) for S2xS2 with factor radii a and b,
+(c/4)(I - * + 3 w w') for CP2 at holomorphic sectional curvature c, with
+* the Hodge star and w = e1^e2 + e3^e4 the Kahler form of J e1 = e2,
+J e3 = e4, and 0 for FlatT4.  Each model also carries its volume, its
+first nonzero Laplace eigenvalue on functions, and the Euler
+characteristic and signature it should reproduce through the
 characteristic integrands.  The lambda1 values are literature constants
 stored as data, not computed: the round-sphere value 4/r^2 and the
 product value min(2/a^2, 2/b^2) are classical, and the Fubini-Study
@@ -16,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveParam, SamplingExhausted, UnknownModel
-from .forms import BLOCK_BASIS
+from .forms import SD_BASIS, STAR_MATRIX
 from .scan import scan_extremes
-from .tensor import (RiemannTensor, _tensor_from_matrix,
-                     random_algebraic_tensor)
+from .tensor import RiemannTensor, _algebraic, _tensor_from_matrix
 
 _PI2 = np.pi ** 2
 
@@ -36,55 +40,23 @@ class ModelSpace:
     homogeneous: bool = True
 
 
-def _fill_sectional(components: np.ndarray, i: int, j: int, value: float) -> None:
-    components[i, j, i, j] = value
-    components[j, i, j, i] = value
-    components[i, j, j, i] = -value
-    components[j, i, i, j] = -value
+# the CP2 operator at c = 4, from the Kahler form w = e1^e2 + e3^e4
+_KAHLER = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+_CP2_SHAPE = np.eye(6) - STAR_MATRIX + 3.0 * np.outer(_KAHLER, _KAHLER)
 
-
-def _s4_components(r: float) -> np.ndarray:
-    k = 1.0 / r ** 2
-    eye = np.eye(4)
-    return k * (np.einsum("ik,jl->ijkl", eye, eye)
-                - np.einsum("il,jk->ijkl", eye, eye))
-
-
-def _s2s2_components(a: float, b: float) -> np.ndarray:
-    c = np.zeros((4, 4, 4, 4))
-    _fill_sectional(c, 0, 1, 1.0 / a ** 2)
-    _fill_sectional(c, 2, 3, 1.0 / b ** 2)
-    return c
-
-
-def _cp2_components(c: float) -> np.ndarray:
-    # J e1 = e2, J e3 = e4; constant holomorphic sectional curvature c
-    J = np.array([[0.0, -1.0, 0.0, 0.0],
-                  [1.0, 0.0, 0.0, 0.0],
-                  [0.0, 0.0, 0.0, -1.0],
-                  [0.0, 0.0, 1.0, 0.0]])
-    G = J.T  # G[i, k] = <J e_i, e_k>
-    eye = np.eye(4)
-    return (c / 4.0) * (np.einsum("ik,jl->ijkl", eye, eye)
-                        - np.einsum("il,jk->ijkl", eye, eye)
-                        + np.einsum("ik,jl->ijkl", G, G)
-                        - np.einsum("il,jk->ijkl", G, G)
-                        + 2.0 * np.einsum("ij,kl->ijkl", G, G))
-
-
-# label, default parameters, and the remaining ModelSpace fields
-# (components, volume, lambda1, expected_chi, expected_tau) as a function
-# of the parameters
+# label, default parameters, and the operator, volume, lambda1,
+# expected_chi and expected_tau as a function of the parameters
 _MODELS = {
     "s4": ("S4", {"r": 1.0}, lambda r: (
-        _s4_components(r), 8.0 * _PI2 * r ** 4 / 3.0, 4.0 / r ** 2, 2, 0)),
+        np.eye(6) * (1.0 / r ** 2), 8.0 * _PI2 * r ** 4 / 3.0,
+        4.0 / r ** 2, 2, 0)),
     "cp2": ("CP2", {"c": 4.0}, lambda c: (
-        _cp2_components(c), 8.0 * _PI2 / c ** 2, 3.0 * c, 3, 1)),
+        (c / 4.0) * _CP2_SHAPE, 8.0 * _PI2 / c ** 2, 3.0 * c, 3, 1)),
     "s2xs2": ("S2xS2", {"a": 1.0, "b": 1.0}, lambda a, b: (
-        _s2s2_components(a, b), 16.0 * _PI2 * a ** 2 * b ** 2,
-        min(2.0 / a ** 2, 2.0 / b ** 2), 4, 0)),
+        np.diag([1.0 / a ** 2, 0.0, 0.0, 0.0, 0.0, 1.0 / b ** 2]),
+        16.0 * _PI2 * a ** 2 * b ** 2, min(2.0 / a ** 2, 2.0 / b ** 2), 4, 0)),
     "flatt4": ("FlatT4", {"L": 1.0}, lambda L: (
-        np.zeros((4, 4, 4, 4)), L ** 4, None, 0, 0)),
+        np.zeros((6, 6)), L ** 4, None, 0, 0)),
 }
 
 
@@ -109,10 +81,20 @@ def model(name: str, **params) -> ModelSpace:
         if not 0.0 < value < np.inf:
             raise NonPositiveParam(f"parameter {key} must be positive and "
                                    f"finite, got {value}")
-    components, volume, lambda1, chi, tau = fields(**values)
+    try:
+        matrix, volume, lambda1, chi, tau = fields(**values)
+        in_range = np.isfinite(matrix).all() and all(
+            0.0 < x < np.inf for x in (volume, lambda1) if x is not None)
+    except (OverflowError, ZeroDivisionError):
+        in_range = False
+    if not in_range:
+        given = ", ".join(f"{key} = {value:g}" for key, value in values.items())
+        raise NonPositiveParam(f"{label} with {given}: its volume, lambda1 or "
+                               "curvature is not a positive finite float")
     return ModelSpace(name=label, params=values,
-                      tensor=RiemannTensor(components), volume=volume,
-                      lambda1=lambda1, expected_chi=chi, expected_tau=tau)
+                      tensor=RiemannTensor(_tensor_from_matrix(matrix)),
+                      volume=volume, lambda1=lambda1, expected_chi=chi,
+                      expected_tau=tau)
 
 
 def model_names() -> tuple[str, ...]:
@@ -120,7 +102,7 @@ def model_names() -> tuple[str, ...]:
 
 
 def _weyl_only_noise(rng: np.random.Generator, scale: float) -> np.ndarray:
-    """Traceless symmetric perturbation of the self-dual block only.
+    """Operator of a traceless symmetric perturbation of the self-dual block only.
 
     Keeps the tensor Einstein and anti-self-dual-Weyl flat, which is the
     half-conformally-flat sample family for the first theorem.
@@ -128,9 +110,7 @@ def _weyl_only_noise(rng: np.random.Generator, scale: float) -> np.ndarray:
     w = rng.normal(size=(3, 3))
     w = 0.5 * (w + w.T)
     w -= np.trace(w) / 3.0 * np.eye(3)
-    block = np.zeros((6, 6))
-    block[:3, :3] = scale * w
-    return _tensor_from_matrix(BLOCK_BASIS @ block @ BLOCK_BASIS.T)
+    return SD_BASIS @ (scale * w) @ SD_BASIS.T
 
 
 def pinched_sample(seed: int, delta_target: float = 0.85,
@@ -149,13 +129,12 @@ def pinched_sample(seed: int, delta_target: float = 0.85,
         raise ValueError(f"delta_target must lie in (0, 1], "
                          f"got {delta_target}")
     rng = np.random.default_rng(seed)
-    base = _s4_components(1.0)
     for _ in range(max_attempts):
         if weyl_only:
             noise = _weyl_only_noise(rng, w_perturbation_scale)
         else:
-            noise = w_perturbation_scale * random_algebraic_tensor(rng).components
-        R = RiemannTensor(base + noise)
+            noise = w_perturbation_scale * _algebraic(rng.normal(size=(6, 6)))
+        R = RiemannTensor(_tensor_from_matrix(np.eye(6) + noise))
         report = scan_extremes(R)
         if report.k_max <= 0:
             continue

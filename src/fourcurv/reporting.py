@@ -28,19 +28,20 @@ class CheckReport:
         return self.n_violations == 0
 
     @classmethod
-    def from_slack(cls, name: str, slack, tol: float, metrics: dict | None = None,
+    def from_slack(cls, name: str, slack, tol, metrics: dict | None = None,
                    notes: tuple = ()) -> CheckReport:
         """One sample per entry of slack; a sample holds when slack >= -tol.
 
-        A NaN slack is a violation, and an empty slack gives min_slack inf.
+        tol is one number, or an array that gives each sample its own
+        tolerance by broadcasting against slack.  A NaN slack is a
+        violation, and an empty slack gives min_slack inf.
         """
         slack = np.asarray(slack, dtype=float)
-        low = float(slack.min(initial=np.inf))
-        # counting is needed only when the smallest slack fails (or is NaN)
-        n_violations = 0 if low >= -tol else int(
-            slack.size - np.count_nonzero(slack >= -tol))
+        # a NaN slack fails the comparison, so it is counted as a violation
+        n_violations = int(slack.size - np.count_nonzero(slack >= -tol))
         return cls(name=name, n_samples=slack.size, n_violations=n_violations,
-                   min_slack=low, metrics=metrics or {}, notes=tuple(notes))
+                   min_slack=float(slack.min(initial=np.inf)),
+                   metrics=metrics or {}, notes=tuple(notes))
 
     def as_dict(self) -> dict:
         return {**asdict(self), "passed": self.passed, "notes": list(self.notes)}

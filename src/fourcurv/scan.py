@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import (BLOCK_BASIS, Plane2, _wedges, asd_form, complement,
-                    plane_from_sd_asd, sd_form)
+                    plane_from_sd_asd, random_frames, sd_form)
 from .reporting import CheckReport
 from .tensor import (CurvatureDecomposition, RiemannTensor, _block_frame, _blocks,
                      decompose, operator_from_tensor)
@@ -134,26 +134,26 @@ def k3perp_closed_form(dec: CurvatureDecomposition) -> float:
     return float((dec.wp_eigs[2] + dec.wm_eigs[2]) / 2.0 + dec.s / 12.0)
 
 
-def operator_blocks(R: RiemannTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, B, C) blocks of the operator in the SD/ASD basis."""
-    mp = _block_frame(R)
-    return mp[:3, :3], mp[:3, 3:], mp[3:, 3:]
+def _plane_values(mp: np.ndarray, hs: np.ndarray,
+                  ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K, Kperp) on the block-frame operator mp at the planes with unit SD/ASD
+    coordinates (hs, ks): one pair of 3-vectors, or paired rows of them."""
+    def form(x, a, y):
+        # x' a y row by row, as (1 x 3) @ (3 x 1) products: the arithmetic
+        # of x @ a @ y on each row
+        return ((x @ a)[..., None, :] @ y[..., None])[..., 0, 0]
+
+    kperp = 0.5 * (form(hs, mp[:3, :3], hs) + form(ks, mp[3:, 3:], ks))
+    return kperp + form(hs, mp[:3, 3:], ks), kperp
 
 
 def batch_sectional(R: RiemannTensor, hs: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Sectional values for paired rows of unit SD/ASD coordinates."""
-    A, B, C = operator_blocks(R)
-    aq = np.einsum("ni,ij,nj->n", hs, A, hs)
-    cq = np.einsum("ni,ij,nj->n", ks, C, ks)
-    cross = np.einsum("ni,ij,nj->n", hs, B, ks)
-    return 0.5 * (aq + cq) + cross
+    return _plane_values(_block_frame(R), hs, ks)[0]
 
 
 def batch_biorthogonal(R: RiemannTensor, hs: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    A, _, C = operator_blocks(R)
-    aq = np.einsum("ni,ij,nj->n", hs, A, hs)
-    cq = np.einsum("ni,ij,nj->n", ks, C, ks)
-    return 0.5 * (aq + cq)
+    return _plane_values(_block_frame(R), hs, ks)[1]
 
 
 def _lowest(mp: np.ndarray, t: float, tol: float) -> tuple[float, np.ndarray, float, float]:
@@ -237,24 +237,20 @@ def scan_extremes(R: RiemannTensor, budget: None = None) -> PinchingReport:
 
 def _scan_blocks(mp: np.ndarray) -> PinchingReport:
     """scan_extremes on the operator mp given in the block frame."""
-    A, B, C = mp[:3, :3], mp[:3, 3:], mp[3:, 3:]
     # the dual runs on mp / 2^e, 2^e the power of two at max|mp| (1 for the
     # zero operator), so that |M| neither overflows nor underflows
     e = int(np.frexp(np.abs(mp).max())[1])
     unit = np.ldexp(mp, -e)
     norm = float(np.linalg.norm(unit))
 
-    def value(h, k):
-        return float(0.5 * (h @ A @ h + k @ C @ k) + h @ B @ k)
-
     g_min, h_lo, k_lo = _dual_min(unit, norm)
     g_neg, h_hi, k_hi = _dual_min(-unit, norm)
     rounding = _ROUNDING_REL * norm
-    kmin_val = value(h_lo, k_lo)
-    kmax_val = value(h_hi, k_hi)
+    kmin_val, kmax_val = _plane_values(mp, np.array([h_lo, h_hi]),
+                                       np.array([k_lo, k_hi]))[0].tolist()
 
-    wa, va = np.linalg.eigh(A)
-    wc, vc = np.linalg.eigh(C)
+    wa, va = np.linalg.eigh(mp[:3, :3])
+    wc, vc = np.linalg.eigh(mp[3:, 3:])
 
     return PinchingReport(
         k_min=kmin_val,
@@ -269,16 +265,6 @@ def _scan_blocks(mp: np.ndarray) -> PinchingReport:
         k_min_lower=float(np.ldexp(g_min - rounding, e)),
         k_max_upper=float(np.ldexp(rounding - g_neg, e)),
     )
-
-
-def random_frames(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n oriented orthonormal frames, stacked (n, 4, 4), columns = vectors."""
-    g = rng.normal(size=(n, 4, 4))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.einsum("nii->ni", r))[:, None, :]
-    det = np.linalg.det(q)
-    q[det < 0, :, 0] *= -1.0
-    return q
 
 
 def seaman_check(R: RiemannTensor, n_frames: int = 100, seed: int = 0,

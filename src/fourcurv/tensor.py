@@ -136,10 +136,9 @@ def tensor_from_operator(op: CurvatureOperator) -> RiemannTensor:
 def _tensor_from_matrix(m: np.ndarray) -> np.ndarray:
     c = np.zeros((4, 4, 4, 4))
     i, j, k, l = _I[:, None], _J[:, None], _I, _J
-    c[i, j, k, l] = m
-    c[j, i, k, l] = -m
-    c[i, j, l, k] = -m
-    c[j, i, l, k] = m
+    c[i, j, k, l] = c[j, i, l, k] = m
+    # 0.0 - m, not -m, so that a zero of m stays +0.0 in the negated slots
+    c[j, i, k, l] = c[i, j, l, k] = 0.0 - m
     return c
 
 

@@ -11,8 +11,9 @@ Quantities live in the eigenbasis H1,H2,H3 of W+: with u = s/12,
 
 The A_i above follow the PROOF of the Z-block estimate; the theorem
 statement prints the first term with the opposite sign on lambda_i-/2.
-Both are computed, the proof version is the default everywhere, and the
-discrepancy is reported rather than resolved.
+Both are computed: the proof version is the bound everywhere, the
+statement version is reported beside it, and the discrepancy is not
+resolved.
 
 All checks here verify pinching first through the certified bounds of
 the plane scan, allowing SCAN_ACCURACY as margin; they refuse to run
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import PinchingNotVerified
 from .invariants import fg_value
 from .reporting import CheckReport
-from .scan import SCAN_ACCURACY, PinchingReport, _scan_blocks
+from .scan import SCAN_ACCURACY, PinchingReport, _plane_values, _scan_blocks
 from .tensor import CurvatureDecomposition, RiemannTensor, _blocks, decompose
 
 _ZERO_IMAGE = 1e-13
@@ -117,16 +118,16 @@ def operator_bound_check(R: RiemannTensor, delta: float, n_planes: int = 1000,
     """
     dec = decompose(R)
     _verify_pinching(dec, delta, scan)
-    A = dec.wplus + dec.u * np.eye(3)
-    C = dec.wminus + dec.u * np.eye(3)
     rng = np.random.default_rng(seed)
     hs = rng.normal(size=(n_planes, 3))
     hs /= np.linalg.norm(hs, axis=1, keepdims=True)
     ks = rng.normal(size=(n_planes, 3))
     ks /= np.linalg.norm(ks, axis=1, keepdims=True)
-    vals = 0.5 * (np.einsum("ni,ij,nj->n", hs, A, hs)
-                  + np.einsum("ni,ij,nj->n", ks, C, ks))
-    item2 = dec.u + 0.5 * np.einsum("ni,ij,nj->n", hs, dec.wplus, hs)
+    vals = _plane_values(_blocks(dec), hs, ks)[1]
+    # the variant is u plus the Kperp of the operator with W+ as its only block
+    weyl = np.zeros((6, 6))
+    weyl[:3, :3] = dec.wplus
+    item2 = dec.u + _plane_values(weyl, hs, ks)[1]
     both = np.concatenate([vals, item2])
     return CheckReport.from_slack(
         "operator_bound", np.minimum(both - delta, 1.0 - both), tol,
@@ -139,16 +140,14 @@ def operator_bound_check(R: RiemannTensor, delta: float, n_planes: int = 1000,
 
 def znorm_bound_check(dec: CurvatureDecomposition, delta: float,
                       tol: float = 1e-9,
-                      use_statement_bound: bool = False,
                       scan: PinchingReport | None = None) -> CheckReport:
     """||Z||^2 <= 2 sum A_i^2 with ||Z||^2 = 2 sum z_i^2 (block plus adjoint)."""
     _verify_pinching(dec, delta, scan)
     vd = ville_data(dec, delta)
     lhs = 2.0 * float((vd.z ** 2).sum())
     lhs_block = 2.0 * float((dec.z_block ** 2).sum())
-    a = vd.a_statement if use_statement_bound else vd.a
-    rhs = 2.0 * float((a ** 2).sum())
-    rhs_other = 2.0 * float(((vd.a if use_statement_bound else vd.a_statement) ** 2).sum())
+    rhs = 2.0 * float((vd.a ** 2).sum())
+    rhs_other = 2.0 * float((vd.a_statement ** 2).sum())
     notes = ()
     if vd.a.min() < 0:
         notes = ("negative A_i: pinching level and decomposition disagree",)

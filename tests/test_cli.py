@@ -237,6 +237,22 @@ def test_lemma1_on_one_tensor_matches_per_form_checks(tmp_path, capsys, seed):
         assert report["min_slack"] == pytest.approx(min_slack, abs=1e-12)
 
 
+def test_lemma1_tolerance_is_relative_to_the_tensor(tmp_path, capsys):
+    # an equality case at max|R| 3.9e9, whose slack is rounding noise of
+    # about 1e-5: it holds against tol * max|R|, not against tol
+    frame = fc.random_frame(np.random.default_rng(7)).columns
+    R = fc.rotate_tensor(fc.model("S4", r=1.6e-5).tensor, frame)
+    path = str(tmp_path / "s4.json")
+    fc.save_tensor(R, path)
+    code, payload = run_json(capsys, "weitzenbock", "--input", path)
+    assert code == 0
+    code, checked = run_json(capsys, "check", "lemma1", "--input", path)
+    assert code == 0
+    for report in (payload["lemma1"], checked["reports"][0]):
+        assert report["n_violations"] == 0 and report["passed"]
+        assert report["min_slack"] < -1e-9   # the noise, which is allowed
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "ville", "--samples", "0"),
     ("check", "deg", "--samples", "0"),
@@ -352,3 +368,22 @@ def test_decompose_text_at_extreme_scale(tmp_path, capsys):
     z_norm = float(line.split("=")[1])
     exact = np.linalg.norm(fc.decompose(R).z_block / 1e200) * 1e200
     assert z_norm == pytest.approx(exact, rel=1e-11)
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--model", "S4", "--r", "1e200"),
+    ("scan", "--model", "S4", "--r", "1e-200"),
+    ("scan", "--model", "CP2", "--c", "1e200"),
+    ("scan", "--model", "S2xS2", "--a", "1e-200"),
+    ("scan", "--model", "FlatT4", "--L", "1e100"),
+    ("invariants", "--model", "S4", "--r", "1e-78"),
+])
+def test_finite_input_out_of_float_range_is_an_error(module_env, argv):
+    # a subprocess, so that a traceback or a warning would reach stderr
+    proc = subprocess.run([sys.executable, "-m", "fourcurv", *argv],
+                          capture_output=True, text=True, env=module_env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("fourcurv: error: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr

@@ -68,3 +68,13 @@ def test_not_homogeneous_rejected(models):
                        expected_tau=0, homogeneous=False)
     with pytest.raises(fc.NotHomogeneous):
         fc.homogeneous_invariants(bumpy)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+def test_integrands_out_of_float_range_raise(scale):
+    # the degree-2 quantities overflow although every component is finite
+    dec = fc.decompose(fc.random_algebraic_tensor(1, scale=scale))
+    for integrand in (fc.gbc_integrand, fc.signature_integrand, fc.fg_value,
+                      fc.integrand_values):
+        with pytest.raises(fc.CurvatureError, match="float range"):
+            integrand(dec)

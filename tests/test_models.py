@@ -4,6 +4,57 @@ import pytest
 import fourcurv as fc
 
 
+def _fill_sectional(c, i, j, value):
+    c[i, j, i, j] = c[j, i, j, i] = value
+    c[i, j, j, i] = c[j, i, i, j] = -value
+
+
+def s4_components(r):
+    """The round sphere from the constant-curvature formula."""
+    k = 1.0 / r ** 2
+    eye = np.eye(4)
+    return k * (np.einsum("ik,jl->ijkl", eye, eye)
+                - np.einsum("il,jk->ijkl", eye, eye))
+
+
+def s2s2_components(a, b):
+    """The product from its two sectional curvatures."""
+    c = np.zeros((4, 4, 4, 4))
+    _fill_sectional(c, 0, 1, 1.0 / a ** 2)
+    _fill_sectional(c, 2, 3, 1.0 / b ** 2)
+    return c
+
+
+def cp2_components(c):
+    """Fubini-Study from the complex structure J e1 = e2, J e3 = e4."""
+    J = np.array([[0.0, -1.0, 0.0, 0.0],
+                  [1.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, -1.0],
+                  [0.0, 0.0, 1.0, 0.0]])
+    G = J.T  # G[i, k] = <J e_i, e_k>
+    eye = np.eye(4)
+    return (c / 4.0) * (np.einsum("ik,jl->ijkl", eye, eye)
+                        - np.einsum("il,jk->ijkl", eye, eye)
+                        + np.einsum("ik,jl->ijkl", G, G)
+                        - np.einsum("il,jk->ijkl", G, G)
+                        + 2.0 * np.einsum("ij,kl->ijkl", G, G))
+
+
+@pytest.mark.parametrize("x", [1.0, 0.5, 3.0, 1e-5, 7.3, 1e30])
+def test_model_operators_match_the_tensor_formulas(x):
+    # bit for bit, with the sign of every zero, so that exported tensors
+    # and their JSON stay as the tensor formulas give them
+    pairs = [(fc.model("S4", r=x), s4_components(x)),
+             (fc.model("CP2", c=x), cp2_components(x)),
+             (fc.model("S2xS2", a=x, b=1.7), s2s2_components(x, 1.7)),
+             (fc.model("S2xS2", a=0.3, b=x), s2s2_components(0.3, x)),
+             (fc.model("FlatT4", L=x), np.zeros((4, 4, 4, 4)))]
+    for ms, want in pairs:
+        got = ms.tensor.components
+        assert np.array_equal(got, want), ms.name
+        assert np.array_equal(np.signbit(got), np.signbit(want)), ms.name
+
+
 def test_model_names_cover_factory():
     assert fc.model_names() == ("S4", "CP2", "S2xS2", "FlatT4")
     for name in fc.model_names():
@@ -131,4 +182,18 @@ def test_pinched_sample_target_validation():
 ])
 def test_model_rejects_non_finite_params(name, params):
     with pytest.raises(fc.NonPositiveParam, match="finite"):
+        fc.model(name, **params)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("S4", {"r": 1e200}), ("S4", {"r": 1e-200}), ("S4", {"r": 1e-100}),
+    ("CP2", {"c": 1e200}), ("CP2", {"c": 1e-160}),
+    ("S2xS2", {"a": 1e-200}), ("S2xS2", {"b": 1e160}),
+    ("FlatT4", {"L": 1e100}), ("FlatT4", {"L": 1e-100}),
+])
+def test_model_rejects_params_out_of_float_range(name, params):
+    # finite parameters whose volume, lambda1 or curvature overflows,
+    # underflows to 0 or divides by 0
+    key = next(iter(params))
+    with pytest.raises(fc.NonPositiveParam, match=f"{key} = "):
         fc.model(name, **params)

@@ -79,6 +79,7 @@ def test_biorthogonal_between_closed_form_bounds(rng):
         assert vals.max() <= hi + 1e-9
         p = fc.plane_from_sd_asd(fc.sd_form(hs[0]), fc.asd_form(ks[0]))
         assert abs(fc.biorthogonal(R, p) - vals[0]) < 1e-12
+        assert abs(fc.sectional(R, p) - fc.batch_sectional(R, hs, ks)[0]) < 1e-12
 
 
 def test_sectional_within_scan_range(rng):

@@ -115,14 +115,6 @@ def test_znorm_bound_on_pinched_samples(pinched_batch):
         assert report.metrics["bound_other_version"] >= 0.0
 
 
-def test_znorm_statement_version_runs(pinched_batch):
-    _, dec, scan = pinched_batch[0]
-    proof = fc.znorm_bound_check(dec, scan.delta, scan=scan)
-    stmt = fc.znorm_bound_check(dec, scan.delta, scan=scan,
-                                use_statement_bound=True)
-    assert stmt.metrics["bound"] == proof.metrics["bound_other_version"]
-
-
 def test_deg_equality_s4(model_decs, model_scans):
     fg, bound = fc.deg_lower_bound(model_decs["S4"], 1.0,
                                    scan=model_scans["S4"])
