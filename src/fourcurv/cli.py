@@ -332,8 +332,7 @@ def _run_check(config: argparse.Namespace, tol: float) -> list[CheckReport]:
             delta = max(0.0, scan.delta or 0.0)
             dec = decompose(tensor)
             if suite == "ville":
-                reports += [operator_bound_check(tensor, delta, n_planes=1000,
-                                                 seed=config.seed, tol=tol, scan=scan),
+                reports += [operator_bound_check(tensor, delta, tol=tol, scan=scan),
                             znorm_bound_check(dec, delta, tol=tol, scan=scan)]
             else:
                 fg, bound = deg_lower_bound(dec, delta, scan=scan)

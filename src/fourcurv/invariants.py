@@ -34,11 +34,16 @@ class IntegrandValues:
     chi_minus_2tau_density: float
 
 
-def _norms(dec: CurvatureDecomposition) -> tuple[float, float, float, float]:
-    """(s^2, |W+|^2, |W-|^2, |ric0|^2), inf where one leaves the float range."""
+def _densities(dec: CurvatureDecomposition) -> tuple[float, float, float]:
+    """(gbc, sig, fg) from one evaluation of the norms, inf or nan where a
+    degree-2 quantity leaves the float range; each caller checks its own."""
     with np.errstate(over="ignore"):
-        return (dec.s * dec.s, float((dec.wp_eigs ** 2).sum()),
-                float((dec.wm_eigs ** 2).sum()), float((dec.ric0 ** 2).sum()))
+        s2, wp2, wm2, ric02 = (dec.s * dec.s, float((dec.wp_eigs ** 2).sum()),
+                               float((dec.wm_eigs ** 2).sum()),
+                               float((dec.ric0 ** 2).sum()))
+    return ((s2 / 24.0 + wp2 + wm2 - 0.5 * ric02) / (8.0 * _PI2),
+            (wp2 - wm2) / (12.0 * _PI2),
+            s2 / 24.0 - wp2 / 3.0 + 7.0 * wm2 / 3.0 - 0.5 * ric02)
 
 
 def _in_range(value: float) -> float:
@@ -51,26 +56,21 @@ def _in_range(value: float) -> float:
 
 def gbc_integrand(dec: CurvatureDecomposition) -> float:
     """Gauss-Bonnet-Chern density; integrates to the Euler characteristic."""
-    s2, wp2, wm2, ric02 = _norms(dec)
-    return _in_range((s2 / 24.0 + wp2 + wm2 - 0.5 * ric02) / (8.0 * _PI2))
+    return _in_range(_densities(dec)[0])
 
 
 def signature_integrand(dec: CurvatureDecomposition) -> float:
     """Hirzebruch density; integrates to the signature."""
-    _, wp2, wm2, _ = _norms(dec)
-    return _in_range((wp2 - wm2) / (12.0 * _PI2))
+    return _in_range(_densities(dec)[1])
 
 
 def fg_value(dec: CurvatureDecomposition) -> float:
     """The chi - 2 tau combination before dividing by 8 pi^2."""
-    s2, wp2, wm2, ric02 = _norms(dec)
-    return _in_range(s2 / 24.0 - wp2 / 3.0 + 7.0 * wm2 / 3.0 - 0.5 * ric02)
+    return _in_range(_densities(dec)[2])
 
 
 def integrand_values(dec: CurvatureDecomposition) -> IntegrandValues:
-    gbc = gbc_integrand(dec)
-    sig = signature_integrand(dec)
-    fg = fg_value(dec)
+    gbc, sig, fg = map(_in_range, _densities(dec))
     return IntegrandValues(gbc=gbc, sig=sig, fg=fg,
                            chi_minus_2tau_density=fg / (8.0 * _PI2))
 

@@ -54,7 +54,7 @@ _MODELS = {
         (c / 4.0) * _CP2_SHAPE, 8.0 * _PI2 / c ** 2, 3.0 * c, 3, 1)),
     "s2xs2": ("S2xS2", {"a": 1.0, "b": 1.0}, lambda a, b: (
         np.diag([1.0 / a ** 2, 0.0, 0.0, 0.0, 0.0, 1.0 / b ** 2]),
-        16.0 * _PI2 * a ** 2 * b ** 2, min(2.0 / a ** 2, 2.0 / b ** 2), 4, 0)),
+        16.0 * _PI2 * (a * b) ** 2, min(2.0 / a ** 2, 2.0 / b ** 2), 4, 0)),
     "flatt4": ("FlatT4", {"L": 1.0}, lambda L: (
         np.zeros((6, 6)), L ** 4, None, 0, 0)),
 }

@@ -15,6 +15,11 @@ Both are computed: the proof version is the bound everywhere, the
 statement version is reported beside it, and the discrepancy is not
 resolved.
 
+In the block form of Singer and Thorpe the biorthogonal values
+<(U+W)P, P> fill [K1perp, K3perp] and the eigen-direction variant
+u + <W+ H, H>/2 fills [v_1, v_3], so the operator bound is checked at
+these four exact extremes.
+
 All checks here verify pinching first through the certified bounds of
 the plane scan, allowing SCAN_ACCURACY as margin; they refuse to run
 otherwise, because the underlying lemmas are simply false without the
@@ -30,8 +35,10 @@ import numpy as np
 from .errors import PinchingNotVerified
 from .invariants import fg_value
 from .reporting import CheckReport
-from .scan import SCAN_ACCURACY, PinchingReport, _plane_values, _scan_blocks
-from .tensor import CurvatureDecomposition, RiemannTensor, _blocks, decompose
+from .scan import (SCAN_ACCURACY, PinchingReport, _scan_blocks,
+                   k1perp_closed_form, k3perp_closed_form)
+from .tensor import (CurvatureDecomposition, RiemannTensor, _blocks,
+                     assemble_operator, decompose)
 
 _ZERO_IMAGE = 1e-13
 
@@ -56,17 +63,19 @@ def ville_data(dec: CurvatureDecomposition, delta: float) -> VilleData:
 
     When ric*(H_i) vanishes there is no unit image to normalize; K_i is
     recorded as undefined and z_i = lambda_i- = 0, which leaves every bound
-    intact (that term contributes nothing to the left sides).
+    intact (that term contributes nothing to the left sides).  The image
+    counts as zero below _ZERO_IMAGE max|R|, so the cut scales with the tensor.
     """
     evals, evecs = np.linalg.eigh(dec.wplus)
     v = dec.u + 0.5 * evals
     z = np.zeros(3)
     lam = np.zeros(3)
     k_units = [None, None, None]
+    cut = _ZERO_IMAGE * float(np.abs(assemble_operator(dec).matrix).max())
     for i in range(3):
         image = dec.z_block.T @ evecs[:, i]
         norm = float(np.linalg.norm(image))
-        if norm > _ZERO_IMAGE:
+        if norm > cut:
             k = image / norm
             k_units[i] = k
             z[i] = norm
@@ -107,35 +116,23 @@ def _verify_pinching(dec: CurvatureDecomposition, delta: float,
     return scan
 
 
-def operator_bound_check(R: RiemannTensor, delta: float, n_planes: int = 1000,
-                         seed: int = 0, tol: float = 1e-9,
+def operator_bound_check(R: RiemannTensor, delta: float, tol: float = 1e-9,
                          scan: PinchingReport | None = None) -> CheckReport:
-    """delta <= <(U+W)P, P> <= 1 on random planes, under verified pinching.
+    """delta <= <(U+W)P, P> <= 1 on every plane, under verified pinching.
 
-    Also checks the eigen-direction variant delta <= u + <W+ H, H>/2 <= 1
-    on the same self-dual samples.  Pass a precomputed scan to skip the
+    The biorthogonal values fill [K1perp, K3perp], and the eigen-direction
+    variant u + <W+ H, H>/2 fills [u + w1+/2, u + w3+/2], so the check
+    tests these four exact extremes.  Pass a precomputed scan to skip the
     verification rescan.
     """
     dec = decompose(R)
     _verify_pinching(dec, delta, scan)
-    rng = np.random.default_rng(seed)
-    hs = rng.normal(size=(n_planes, 3))
-    hs /= np.linalg.norm(hs, axis=1, keepdims=True)
-    ks = rng.normal(size=(n_planes, 3))
-    ks /= np.linalg.norm(ks, axis=1, keepdims=True)
-    vals = _plane_values(_blocks(dec), hs, ks)[1]
-    # the variant is u plus the Kperp of the operator with W+ as its only block
-    weyl = np.zeros((6, 6))
-    weyl[:3, :3] = dec.wplus
-    item2 = dec.u + _plane_values(weyl, hs, ks)[1]
-    both = np.concatenate([vals, item2])
+    ends = np.array([k1perp_closed_form(dec), k3perp_closed_form(dec),
+                     *(dec.u + 0.5 * dec.wp_eigs[[0, 2]])])
     return CheckReport.from_slack(
-        "operator_bound", np.minimum(both - delta, 1.0 - both), tol,
-        metrics={
-            "min_value": float(vals.min()), "max_value": float(vals.max()),
-            "min_eigen_value": float(item2.min()), "max_eigen_value": float(item2.max()),
-        },
-    )
+        "operator_bound", np.minimum(ends - delta, 1.0 - ends), tol,
+        metrics=dict(zip(("min_value", "max_value", "min_eigen_value",
+                          "max_eigen_value"), ends.tolist())))
 
 
 def znorm_bound_check(dec: CurvatureDecomposition, delta: float,
@@ -167,14 +164,14 @@ def deg_lower_bound(dec: CurvatureDecomposition, delta: float,
                     scan: PinchingReport | None = None) -> tuple[float, float]:
     """(F(g), lower bound) for the Theorem 1 integrand; contract fg >= bound.
 
-    bound = (10/9)(sum v)^2 - (4/3) sum v^2 + (7/2) alpha^2
-            - 2 sum min((1 - v_i - lambda_i-/2)^2, (v_i + lambda_i-/2 - delta)^2).
+    bound = (10/9)(sum v)^2 - (4/3) sum v^2 + (7/2) alpha^2 - 2 sum A_i^2,
+
+    with the proof version of A_i.  The two terms of A_i sum to
+    1 - delta >= 0, so A_i^2 is the smaller of their squares.
     """
     _verify_pinching(dec, delta, scan)
     vd = ville_data(dec, delta)
-    v, lam = vd.v, vd.lambda_minus
+    v = vd.v
     bound = ((10.0 / 9.0) * v.sum() ** 2 - (4.0 / 3.0) * (v ** 2).sum()
-             + 3.5 * vd.alpha ** 2
-             - 2.0 * np.minimum((1.0 - v - 0.5 * lam) ** 2,
-                                (v + 0.5 * lam - delta) ** 2).sum())
+             + 3.5 * vd.alpha ** 2 - 2.0 * (vd.a ** 2).sum())
     return fg_value(dec), float(bound)

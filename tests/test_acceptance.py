@@ -98,7 +98,7 @@ def test_criterion_08_ville_suites(pinched_batch):
     assert len(pinched_batch) == 100
     for i, (R, dec, rep) in enumerate(pinched_batch):
         delta = rep.delta
-        op = fc.operator_bound_check(R, delta, seed=i, scan=rep)
+        op = fc.operator_bound_check(R, delta, scan=rep)
         assert op.passed and op.n_violations == 0
         vd = fc.ville_data(dec, delta)
         assert vd.v.min() >= delta - fc.SCAN_ACCURACY

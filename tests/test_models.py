@@ -197,3 +197,11 @@ def test_model_rejects_params_out_of_float_range(name, params):
     key = next(iter(params))
     with pytest.raises(fc.NonPositiveParam, match=f"{key} = "):
         fc.model(name, **params)
+
+
+def test_s2xs2_volume_overflows_only_with_the_volume():
+    # 16 pi^2 a^2 overflows on its own here, but the volume is finite
+    m = fc.model("S2xS2", a=1e154, b=1e-10)
+    assert m.volume == pytest.approx(16.0 * np.pi ** 2 * 1e288, rel=1e-12)
+    with pytest.raises(fc.NonPositiveParam):
+        fc.model("S2xS2", a=1e-200, b=1e160)

@@ -76,7 +76,7 @@ def _library_reports():
     yield fc.k3_bound_check(fc.decompose(R))
     P = fc.pinched_sample(0)
     dec, scan = fc.decompose(P), fc.scan_extremes(P)
-    yield fc.operator_bound_check(P, scan.delta, n_planes=50, scan=scan)
+    yield fc.operator_bound_check(P, scan.delta, scan=scan)
     yield fc.znorm_bound_check(dec, scan.delta, scan=scan)
 
 

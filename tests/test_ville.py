@@ -94,10 +94,41 @@ def test_operator_bound_product(models, model_scans):
 
 def test_operator_bound_on_pinched_samples(pinched_batch):
     for R, _, scan in pinched_batch[:10]:
-        report = fc.operator_bound_check(R, scan.delta, n_planes=1000,
-                                         scan=scan)
+        report = fc.operator_bound_check(R, scan.delta, scan=scan)
         assert report.passed
         assert report.n_violations == 0
+
+
+def test_operator_bound_is_the_exact_range(pinched_batch):
+    # sampled planes and SD directions stay inside the reported extremes,
+    # and the scan's K1perp and K3perp planes attain the plane ends
+    rng = np.random.default_rng(11)
+    for R, dec, scan in pinched_batch[:10]:
+        m = fc.operator_bound_check(R, scan.delta, scan=scan).metrics
+        assert m["min_value"] == fc.k1perp_closed_form(dec)
+        assert m["max_value"] == fc.k3perp_closed_form(dec)
+        hs, ks = (x / np.linalg.norm(x, axis=1, keepdims=True)
+                  for x in rng.normal(size=(2, 2000, 3)))
+        vals = fc.batch_biorthogonal(R, hs, ks)
+        assert m["min_value"] - 1e-12 <= vals.min()
+        assert vals.max() <= m["max_value"] + 1e-12
+        eig = dec.u + 0.5 * np.einsum("ni,ij,nj->n", hs, dec.wplus, hs)
+        assert m["min_eigen_value"] - 1e-12 <= eig.min()
+        assert eig.max() <= m["max_eigen_value"] + 1e-12
+        assert fc.biorthogonal(R, scan.k1perp_plane) == pytest.approx(
+            m["min_value"], abs=1e-12)
+        assert fc.biorthogonal(R, scan.k3perp_plane) == pytest.approx(
+            m["max_value"], abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-13, 1e-14, 1e-100])
+def test_zero_image_cut_is_relative(scale):
+    # the unit images are found at any scale, so the two routes to |Z|^2 agree
+    R = fc.RiemannTensor(fc.pinched_sample(3).components * scale)
+    m = fc.znorm_bound_check(fc.decompose(R), 0.0).metrics
+    assert m["z_norm2_from_block"] > 0.0
+    assert m["z_norm2"] == pytest.approx(m["z_norm2_from_block"], rel=1e-10,
+                                         abs=0.0)
 
 
 def test_znorm_bound_s4_equality(model_decs, model_scans):
