@@ -293,7 +293,7 @@ def _dispatch(config: argparse.Namespace) -> tuple[dict, list[str], int]:
     _, ms = _source(config)
     data = tensor_to_dict(ms.tensor)
     data.update({"model": ms.name, "params": ms.params,
-                 "volume": ms.volume, "lambda1": ms.lambda1,
+                 "volume": ms.checked_volume(), "lambda1": ms.lambda1,
                  "expected_chi": ms.expected_chi,
                  "expected_tau": ms.expected_tau})
     # export is itself the payload: valid tensor JSON on stdout

@@ -83,7 +83,8 @@ def homogeneous_invariants(model) -> tuple[float, float, float]:
     """
     if not model.homogeneous:
         raise NotHomogeneous(f"model {model.name} is not homogeneous")
+    volume = model.checked_volume()
     dec = decompose(model.tensor)
-    chi = gbc_integrand(dec) * model.volume
-    tau = signature_integrand(dec) * model.volume
+    chi = gbc_integrand(dec) * volume
+    tau = signature_integrand(dec) * volume
     return chi, tau, chi - 2.0 * tau

@@ -8,7 +8,8 @@ diag(1/a^2, 0, 0, 0, 0, 1/b^2) for S2xS2 with factor radii a and b,
 J e3 = e4, and 0 for FlatT4.  Each model also carries its volume, its
 first nonzero Laplace eigenvalue on functions, and the Euler
 characteristic and signature it should reproduce through the
-characteristic integrands.  The lambda1 values are literature constants
+characteristic integrands; the volume may leave the float range where the
+curvature does not, and is checked where it is used.  The lambda1 values are literature constants
 stored as data, not computed: the round-sphere value 4/r^2 and the
 product value min(2/a^2, 2/b^2) are classical, and the Fubini-Study
 value 3c is cross-checked by the totally geodesic CP^1 degeneration
@@ -39,6 +40,12 @@ class ModelSpace:
     expected_tau: int
     homogeneous: bool = True
 
+    def checked_volume(self) -> float:
+        """The volume; NonPositiveParam where it is not a positive finite float."""
+        if not 0.0 < self.volume < np.inf:
+            raise _out_of_range(self.name, self.params)
+        return self.volume
+
 
 # the CP2 operator at c = 4, from the Kahler form w = e1^e2 + e3^e4
 _KAHLER = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 1.0])
@@ -66,7 +73,8 @@ def model(name: str, **params) -> ModelSpace:
     Scale parameters (all positive and finite): S4 takes r (radius,
     default 1), CP2 takes c (holomorphic sectional curvature, default 4),
     S2xS2 takes factor radii a and b (default 1), FlatT4 takes the side L
-    (default 1).
+    (default 1).  The curvature must be finite and lambda1 positive and
+    finite; the volume is checked where it is used, by checked_volume.
     """
     if name.lower() not in _MODELS:
         raise UnknownModel(f"no model named {name!r}; "
@@ -81,20 +89,25 @@ def model(name: str, **params) -> ModelSpace:
         if not 0.0 < value < np.inf:
             raise NonPositiveParam(f"parameter {key} must be positive and "
                                    f"finite, got {value}")
-    try:
-        matrix, volume, lambda1, chi, tau = fields(**values)
-        in_range = np.isfinite(matrix).all() and all(
-            0.0 < x < np.inf for x in (volume, lambda1) if x is not None)
-    except (OverflowError, ZeroDivisionError):
-        in_range = False
-    if not in_range:
-        given = ", ".join(f"{key} = {value:g}" for key, value in values.items())
-        raise NonPositiveParam(f"{label} with {given}: its volume, lambda1 or "
-                               "curvature is not a positive finite float")
+    # in numpy floats a power or quotient out of range gives inf or 0 where
+    # a Python float raises, so a volume out of range leaves the rest intact
+    with np.errstate(all="ignore"):
+        matrix, volume, lambda1, chi, tau = fields(
+            **{key: np.float64(value) for key, value in values.items()})
+    if not (np.isfinite(matrix).all()
+            and (lambda1 is None or 0.0 < lambda1 < np.inf)):
+        raise _out_of_range(label, values)
     return ModelSpace(name=label, params=values,
                       tensor=RiemannTensor(_tensor_from_matrix(matrix)),
-                      volume=volume, lambda1=lambda1, expected_chi=chi,
-                      expected_tau=tau)
+                      volume=float(volume),
+                      lambda1=None if lambda1 is None else float(lambda1),
+                      expected_chi=chi, expected_tau=tau)
+
+
+def _out_of_range(label: str, params: dict) -> NonPositiveParam:
+    given = ", ".join(f"{key} = {value:g}" for key, value in params.items())
+    return NonPositiveParam(f"{label} with {given}: its volume, lambda1 or "
+                            "curvature is not a positive finite float")
 
 
 def model_names() -> tuple[str, ...]:

@@ -66,11 +66,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InconsistentInputs
 from .forms import (BLOCK_BASIS, Plane2, _wedges, asd_form, complement,
                     plane_from_sd_asd, random_frames, sd_form)
 from .reporting import CheckReport
-from .tensor import (CurvatureDecomposition, RiemannTensor, _block_frame, _blocks,
-                     decompose, operator_from_tensor)
+from .tensor import (SYMMETRY_TOL, CurvatureDecomposition, RiemannTensor,
+                     _block_frame, _blocks, decompose, operator_from_tensor)
 
 # margin the pinching preconditions allow on the certified bounds, so that a
 # delta read off the scan itself (k_min / k_max, after rescaling k_max to 1)
@@ -132,6 +133,13 @@ def k1perp_closed_form(dec: CurvatureDecomposition) -> float:
 
 def k3perp_closed_form(dec: CurvatureDecomposition) -> float:
     return float((dec.wp_eigs[2] + dec.wm_eigs[2]) / 2.0 + dec.s / 12.0)
+
+
+def _require_same_tensor(dec: CurvatureDecomposition, scan: PinchingReport) -> None:
+    """InconsistentInputs unless dec and scan agree on k1perp to SYMMETRY_TOL max|R|."""
+    if abs(k1perp_closed_form(dec) - scan.k1perp) > SYMMETRY_TOL * dec.max_abs:
+        raise InconsistentInputs(
+            "decomposition and scan disagree on k1perp; not the same tensor?")
 
 
 def _plane_values(mp: np.ndarray, hs: np.ndarray,
@@ -278,7 +286,6 @@ def seaman_check(R: RiemannTensor, n_frames: int = 100, seed: int = 0,
     and max_ratio is reported (else 0) where the bound exceeds 1e-15 max|R|.
     """
     dec = decompose(R)
-    scale = float(np.abs(R.components).max())
     bound = (2.0 / 3.0) * (k3perp_closed_form(dec) - k1perp_closed_form(dec))
     rng = np.random.default_rng(seed)
     q = random_frames(rng, n_frames)
@@ -286,7 +293,7 @@ def seaman_check(R: RiemannTensor, n_frames: int = 100, seed: int = 0,
     e34 = _wedges(q[:, :, 2], q[:, :, 3]) @ BLOCK_BASIS
     comp = ((e12 @ _blocks(dec)) * e34).sum(axis=1)
     max_abs = float(np.abs(comp).max()) if n_frames else 0.0
-    ratio = max_abs / bound if bound > 1e-15 * scale else 0.0
+    ratio = max_abs / bound if bound > 1e-15 * dec.max_abs else 0.0
     return CheckReport.from_slack(
-        "seaman", bound - np.abs(comp), tol * scale,
+        "seaman", bound - np.abs(comp), tol * dec.max_abs,
         metrics={"bound": bound, "max_abs_component": max_abs, "max_ratio": ratio})

@@ -77,7 +77,8 @@ class CurvatureDecomposition:
 
     wplus/wminus are the traceless 3x3 Weyl blocks, z_block the off-diagonal
     block, wp_eigs/wm_eigs their eigenvalues sorted ascending (w1 <= w2 <= w3,
-    summing to zero).
+    summing to zero), and max_abs the scale max|R_ijkl| that tolerances are
+    taken relative to.
     """
 
     s: float
@@ -89,6 +90,7 @@ class CurvatureDecomposition:
     z_block: np.ndarray
     wp_eigs: np.ndarray
     wm_eigs: np.ndarray
+    max_abs: float
 
 
 # flat indices of c permuted as c and each transpose the symmetries compare it
@@ -166,6 +168,7 @@ def decompose(R: RiemannTensor) -> CurvatureDecomposition:
         z_block=z_block,
         wp_eigs=np.linalg.eigvalsh(wplus),
         wm_eigs=np.linalg.eigvalsh(wminus),
+        max_abs=float(np.abs(R.components).max()),
     )
 
 

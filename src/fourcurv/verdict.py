@@ -22,11 +22,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (InconsistentInputs, NonPositiveInput,
-                     NonPositiveScalarCurvature)
+from .errors import NonPositiveInput, NonPositiveScalarCurvature
 from .invariants import fg_value
-from .scan import PinchingReport, k1perp_closed_form
-from .tensor import SYMMETRY_TOL, CurvatureDecomposition, assemble_operator
+from .scan import PinchingReport, _require_same_tensor
+from .tensor import CurvatureDecomposition
 from .ville import ville_data
 
 CRITICAL_DELTA = (3.0 * np.sqrt(3.0) - 5.0) / 4.0
@@ -140,25 +139,21 @@ def theorem1_verdict(dec: CurvatureDecomposition, scan: PinchingReport,
                      tol: float = 1e-6) -> TheoremVerdict:
     """Half-conformally-flat pinching verdict.
 
-    Hypotheses: one Weyl half vanishes (orientation is flipped, and noted,
-    when it is the self-dual half), and the scanned sectional range sits in
-    [(3 sqrt(3) - 5)/4, 1] up to tol.  On acceptance the pointwise chain
-    fg/2 >= f(v1,v2,v3) >= 0 is evaluated and recorded in the notes.
+    Hypotheses: one Weyl half vanishes to tol max|R| (orientation is
+    flipped, and noted, when it is the self-dual half), and the scanned
+    sectional range sits in [(3 sqrt(3) - 5)/4, 1] up to tol.  On
+    acceptance the pointwise chain fg/2 >= f(v1,v2,v3) >= 0 is evaluated
+    and recorded in the notes.  dec and scan must come from one tensor.
     """
-    # relative to max|R|, as in validate_symmetries
-    max_r = float(np.abs(assemble_operator(dec).matrix).max())
-    if abs(k1perp_closed_form(dec) - scan.k1perp) > SYMMETRY_TOL * max_r:
-        raise InconsistentInputs(
-            "decomposition and scan disagree on k1perp; not the same tensor?")
-    scale = max(1.0, abs(dec.s) / 12.0)
+    _require_same_tensor(dec, scan)
     # Frobenius norms by hypot, which forms no squares and so cannot overflow
     wp_norm = float(np.hypot.reduce(dec.wplus, axis=None))
     wm_norm = float(np.hypot.reduce(dec.wminus, axis=None))
     notes = []
     work = dec
-    if wm_norm <= tol * scale:
+    if wm_norm <= tol * dec.max_abs:
         half_flat = True
-    elif wp_norm <= tol * scale:
+    elif wp_norm <= tol * dec.max_abs:
         half_flat = True
         work = replace(dec, wplus=dec.wminus, wminus=dec.wplus,
                        z_block=dec.z_block.T.copy(),
@@ -231,6 +226,7 @@ def theorem2_verdict(dec: CurvatureDecomposition, scan: PinchingReport,
     lambda_1 is a global spectral constant and is never derived from the
     tensor; it must come from a model space or the caller.
     """
+    _require_same_tensor(dec, scan)
     if dec.s <= 0:
         raise NonPositiveScalarCurvature(f"s = {dec.s:.6g} is not positive")
     threshold = theorem2_threshold(dec.s, lambda1)

@@ -20,10 +20,10 @@ In the block form of Singer and Thorpe the biorthogonal values
 u + <W+ H, H>/2 fills [v_1, v_3], so the operator bound is checked at
 these four exact extremes.
 
-All checks here verify pinching first through the certified bounds of
-the plane scan, allowing SCAN_ACCURACY as margin; they refuse to run
-otherwise, because the underlying lemmas are simply false without the
-hypothesis.
+All checks here take the caller's scan of the tensor and verify pinching
+first through its certified bounds, allowing SCAN_ACCURACY as margin;
+they refuse to run otherwise, because the underlying lemmas are simply
+false without the hypothesis.
 """
 from __future__ import annotations
 
@@ -35,10 +35,9 @@ import numpy as np
 from .errors import PinchingNotVerified
 from .invariants import fg_value
 from .reporting import CheckReport
-from .scan import (SCAN_ACCURACY, PinchingReport, _scan_blocks,
+from .scan import (SCAN_ACCURACY, PinchingReport, _require_same_tensor,
                    k1perp_closed_form, k3perp_closed_form)
-from .tensor import (CurvatureDecomposition, RiemannTensor, _blocks,
-                     assemble_operator, decompose)
+from .tensor import CurvatureDecomposition, RiemannTensor, decompose
 
 _ZERO_IMAGE = 1e-13
 
@@ -71,7 +70,7 @@ def ville_data(dec: CurvatureDecomposition, delta: float) -> VilleData:
     z = np.zeros(3)
     lam = np.zeros(3)
     k_units = [None, None, None]
-    cut = _ZERO_IMAGE * float(np.abs(assemble_operator(dec).matrix).max())
+    cut = _ZERO_IMAGE * dec.max_abs
     for i in range(3):
         image = dec.z_block.T @ evecs[:, i]
         norm = float(np.linalg.norm(image))
@@ -102,10 +101,9 @@ def ville_data(dec: CurvatureDecomposition, delta: float) -> VilleData:
 
 
 def _verify_pinching(dec: CurvatureDecomposition, delta: float,
-                     scan: PinchingReport | None) -> PinchingReport:
+                     scan: PinchingReport) -> None:
     """Precondition K <= 1 and K >= delta on the certified bounds of a scan of dec."""
-    if scan is None:
-        scan = _scan_blocks(_blocks(dec))
+    _require_same_tensor(dec, scan)
     if scan.k_max_upper > 1.0 + SCAN_ACCURACY:
         raise PinchingNotVerified(
             f"k_max <= {scan.k_max_upper:.9g} is not certified below 1")
@@ -113,17 +111,15 @@ def _verify_pinching(dec: CurvatureDecomposition, delta: float,
         raise PinchingNotVerified(
             f"k_min >= {scan.k_min_lower:.9g} is not certified above "
             f"delta = {delta:.9g}")
-    return scan
 
 
-def operator_bound_check(R: RiemannTensor, delta: float, tol: float = 1e-9,
-                         scan: PinchingReport | None = None) -> CheckReport:
+def operator_bound_check(R: RiemannTensor, delta: float, tol: float = 1e-9, *,
+                         scan: PinchingReport) -> CheckReport:
     """delta <= <(U+W)P, P> <= 1 on every plane, under verified pinching.
 
     The biorthogonal values fill [K1perp, K3perp], and the eigen-direction
     variant u + <W+ H, H>/2 fills [u + w1+/2, u + w3+/2], so the check
-    tests these four exact extremes.  Pass a precomputed scan to skip the
-    verification rescan.
+    tests these four exact extremes.
     """
     dec = decompose(R)
     _verify_pinching(dec, delta, scan)
@@ -136,8 +132,7 @@ def operator_bound_check(R: RiemannTensor, delta: float, tol: float = 1e-9,
 
 
 def znorm_bound_check(dec: CurvatureDecomposition, delta: float,
-                      tol: float = 1e-9,
-                      scan: PinchingReport | None = None) -> CheckReport:
+                      tol: float = 1e-9, *, scan: PinchingReport) -> CheckReport:
     """||Z||^2 <= 2 sum A_i^2 with ||Z||^2 = 2 sum z_i^2 (block plus adjoint)."""
     _verify_pinching(dec, delta, scan)
     vd = ville_data(dec, delta)
@@ -160,8 +155,8 @@ def znorm_bound_check(dec: CurvatureDecomposition, delta: float,
     )
 
 
-def deg_lower_bound(dec: CurvatureDecomposition, delta: float,
-                    scan: PinchingReport | None = None) -> tuple[float, float]:
+def deg_lower_bound(dec: CurvatureDecomposition, delta: float, *,
+                    scan: PinchingReport) -> tuple[float, float]:
     """(F(g), lower bound) for the Theorem 1 integrand; contract fg >= bound.
 
     bound = (10/9)(sum v)^2 - (4/3) sum v^2 + (7/2) alpha^2 - 2 sum A_i^2,

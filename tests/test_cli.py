@@ -79,6 +79,7 @@ def test_verdict_payload(capsys):
 def test_decompose_json_roundtrip(tmp_path, capsys):
     code, first = run_json(capsys, "decompose", "--model", "CP2")
     assert code == 0
+    assert first["max_abs"] == np.abs(fc.model("CP2").tensor.components).max()
     path = tmp_path / "cp2.json"
     path.write_text(json.dumps(first))
     code, second = run_json(capsys, "decompose", "--input", str(path))
@@ -373,9 +374,9 @@ def test_decompose_text_at_extreme_scale(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ("scan", "--model", "S4", "--r", "1e200"),
     ("scan", "--model", "S4", "--r", "1e-200"),
-    ("scan", "--model", "CP2", "--c", "1e200"),
+    ("invariants", "--model", "CP2", "--c", "1e200"),
     ("scan", "--model", "S2xS2", "--a", "1e-200"),
-    ("scan", "--model", "FlatT4", "--L", "1e100"),
+    ("invariants", "--model", "FlatT4", "--L", "1e100"),
     ("invariants", "--model", "S4", "--r", "1e-78"),
 ])
 def test_finite_input_out_of_float_range_is_an_error(module_env, argv):
@@ -387,3 +388,32 @@ def test_finite_input_out_of_float_range_is_an_error(module_env, argv):
     assert proc.stderr.startswith("fourcurv: error: ")
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("S4", "r", 1e-100), ("CP2", "c", 1e200), ("CP2", "c", 1e-160),
+    ("FlatT4", "L", 1e100), ("FlatT4", "L", 1e-100),
+])
+def test_volume_out_of_float_range_is_refused_only_where_used(capsys, name,
+                                                              key, value):
+    # the tensor is fine, only the volume overflows or underflows to 0
+    source = ("--model", name, f"--{key}", repr(value))
+    assert run_cli("scan", *source) == 0
+    capsys.readouterr()
+    for argv in (("invariants",), ("model", "export")):
+        assert run_cli(*argv, *source) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{key} = {value:g}: its volume" in captured.err
+    with pytest.raises(fc.NonPositiveParam, match="its volume"):
+        fc.homogeneous_invariants(fc.model(name, **{key: value}))
+
+
+def test_cli_imports_no_test_or_optional_packages(module_env):
+    # numpy is the only runtime dependency
+    probe = ("import sys, fourcurv.cli; print(' '.join(sorted({name.split('.')[0] "
+             "for name in sys.modules} & {'scipy', 'pytest', 'hypothesis'})))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=module_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

@@ -193,10 +193,11 @@ def test_model_rejects_non_finite_params(name, params):
 ])
 def test_model_rejects_params_out_of_float_range(name, params):
     # finite parameters whose volume, lambda1 or curvature overflows,
-    # underflows to 0 or divides by 0
+    # underflows to 0 or divides by 0; the curvature and lambda1 are
+    # refused by model, the volume where it is used
     key = next(iter(params))
     with pytest.raises(fc.NonPositiveParam, match=f"{key} = "):
-        fc.model(name, **params)
+        fc.model(name, **params).checked_volume()
 
 
 def test_s2xs2_volume_overflows_only_with_the_volume():

@@ -210,3 +210,15 @@ def test_non_finite_components_rejected(bad):
     c[0, 0, 0, 0] = bad
     with pytest.raises(ValueError, match="finite"):
         fc.RiemannTensor(c)
+
+
+def test_max_abs_is_max_of_the_components(rng):
+    # bit for bit, on random tensors at 1e+-200, rotated models and pinched
+    # samples
+    tensors = [fc.random_algebraic_tensor(rng, scale=scale)
+               for scale in (1e-200, 1e-3, 1.0, 1e3, 1e200)]
+    tensors += [fc.rotate_tensor(fc.model(name).tensor, fc.random_frame(rng).columns)
+                for name in fc.model_names()]
+    tensors += [fc.pinched_sample(seed, weyl_only=seed % 2 == 1) for seed in range(4)]
+    for R in tensors:
+        assert fc.decompose(R).max_abs == np.abs(R.components).max()

@@ -257,6 +257,30 @@ def test_theorem1_consistency_check_is_relative():
         fc.theorem1_verdict(fc.decompose(small), fc.scan_extremes(other))
 
 
+def test_theorem2_inconsistent_inputs(model_decs, model_scans):
+    # S4 holds with its own scan, and is refused with the product's
+    fc.theorem2_verdict(model_decs["S4"], model_scans["S4"], 4.0)
+    with pytest.raises(fc.InconsistentInputs):
+        fc.theorem2_verdict(model_decs["S4"], model_scans["S2xS2"], 4.0)
+
+
+@pytest.mark.parametrize("kind", ["random", "weyl_only", "CP2"])
+def test_theorem1_half_flatness_is_scale_free(kind):
+    # the half-flat decision and its notes, at exact power-of-two scales
+    R = {"random": lambda: fc.random_algebraic_tensor(3),
+         "weyl_only": lambda: fc.pinched_sample(2, weyl_only=True),
+         "CP2": lambda: fc.model("CP2").tensor}[kind]()
+
+    def flags(scale):
+        S = fc.RiemannTensor(np.ldexp(R.components, scale))
+        notes = fc.theorem1_verdict(fc.decompose(S), fc.scan_extremes(S)).notes
+        return [any(n.startswith(text) for n in notes)
+                for text in ("neither Weyl half", "orientation flipped")]
+    expected = flags(0)
+    for scale in range(-60, 61, 8):
+        assert flags(scale) == expected
+
+
 def test_theorem2_verdicts(models, model_decs, model_scans):
     v = fc.theorem2_verdict(model_decs["S4"], model_scans["S4"], 4.0)
     assert v.hypotheses_hold

@@ -15,7 +15,7 @@ def _handmade_dec():
         s=6.0, u=0.5, ric=1.5 * np.eye(4), ric0=np.zeros((4, 4)),
         wplus=wplus, wminus=wminus, z_block=0.05 * np.eye(3),
         wp_eigs=np.array([-0.1, 0.0, 0.1]),
-        wm_eigs=np.array([-0.2, 0.0, 0.2]))
+        wm_eigs=np.array([-0.2, 0.0, 0.2]), max_abs=0.7)
 
 
 def test_ville_data_s4(model_decs):
@@ -125,7 +125,8 @@ def test_operator_bound_is_the_exact_range(pinched_batch):
 def test_zero_image_cut_is_relative(scale):
     # the unit images are found at any scale, so the two routes to |Z|^2 agree
     R = fc.RiemannTensor(fc.pinched_sample(3).components * scale)
-    m = fc.znorm_bound_check(fc.decompose(R), 0.0).metrics
+    m = fc.znorm_bound_check(fc.decompose(R), 0.0,
+                             scan=fc.scan_extremes(R)).metrics
     assert m["z_norm2_from_block"] > 0.0
     assert m["z_norm2"] == pytest.approx(m["z_norm2_from_block"], rel=1e-10,
                                          abs=0.0)
@@ -166,18 +167,20 @@ def test_deg_on_pinched_samples(pinched_batch):
         assert fg >= bound - 1e-9
 
 
-def test_pinching_precondition_enforced(model_decs, models):
+def test_pinching_precondition_enforced(model_decs, model_scans):
     # CP2 at holomorphic curvature 4 has sectional curvature up to 4
     with pytest.raises(fc.PinchingNotVerified):
-        fc.znorm_bound_check(model_decs["CP2"], 0.5)
+        fc.znorm_bound_check(model_decs["CP2"], 0.5, scan=model_scans["CP2"])
     small = fc.model("S4", r=0.9)  # curvature above 1
+    small_scan = fc.scan_extremes(small.tensor)
     with pytest.raises(fc.PinchingNotVerified):
-        fc.operator_bound_check(small.tensor, 0.5)
+        fc.operator_bound_check(small.tensor, 0.5, scan=small_scan)
     with pytest.raises(fc.PinchingNotVerified):
-        fc.deg_lower_bound(fc.decompose(small.tensor), 0.5)
+        fc.deg_lower_bound(fc.decompose(small.tensor), 0.5, scan=small_scan)
     # delta above the verified floor also refuses
     with pytest.raises(fc.PinchingNotVerified):
-        fc.znorm_bound_check(model_decs["S2xS2"], 0.5)
+        fc.znorm_bound_check(model_decs["S2xS2"], 0.5,
+                             scan=model_scans["S2xS2"])
 
 
 def test_pinching_precondition_uses_certified_bounds(model_decs, model_scans):
@@ -191,3 +194,17 @@ def test_pinching_precondition_uses_certified_bounds(model_decs, model_scans):
     with pytest.raises(fc.PinchingNotVerified):
         fc.deg_lower_bound(model_decs["S4"], 1.0, scan=loose_min)
     fc.znorm_bound_check(model_decs["S4"], 1.0, scan=s4)
+
+
+def test_pinching_checks_refuse_a_scan_of_another_tensor():
+    # a pinched sample's scan does not certify the pinching of S4 at r = 1.2
+    R = fc.model("S4", r=1.2).tensor
+    dec = fc.decompose(R)
+    other = fc.scan_extremes(fc.pinched_sample(1))
+    fc.znorm_bound_check(dec, 0.5, scan=fc.scan_extremes(R))
+    with pytest.raises(fc.InconsistentInputs):
+        fc.znorm_bound_check(dec, 0.5, scan=other)
+    with pytest.raises(fc.InconsistentInputs):
+        fc.operator_bound_check(R, 0.5, scan=other)
+    with pytest.raises(fc.InconsistentInputs):
+        fc.deg_lower_bound(dec, 0.5, scan=other)
