@@ -292,8 +292,8 @@ def seaman_check(R: RiemannTensor, n_frames: int = 100, seed: int = 0,
     e12 = _wedges(q[:, :, 0], q[:, :, 1]) @ BLOCK_BASIS
     e34 = _wedges(q[:, :, 2], q[:, :, 3]) @ BLOCK_BASIS
     comp = ((e12 @ _blocks(dec)) * e34).sum(axis=1)
-    max_abs = float(np.abs(comp).max()) if n_frames else 0.0
-    ratio = max_abs / bound if bound > 1e-15 * dec.max_abs else 0.0
+    max_comp = float(np.abs(comp).max()) if n_frames else 0.0
+    ratio = max_comp / bound if bound > 1e-15 * dec.max_abs else 0.0
     return CheckReport.from_slack(
         "seaman", bound - np.abs(comp), tol * dec.max_abs,
-        metrics={"bound": bound, "max_abs_component": max_abs, "max_ratio": ratio})
+        metrics={"bound": bound, "max_abs_component": max_comp, "max_ratio": ratio})

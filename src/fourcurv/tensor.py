@@ -53,13 +53,18 @@ class CurvatureOperator:
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    """Max residual of each index-symmetry class; valid iff none exceeds tol."""
+    """Max residual of each index-symmetry class; valid iff none exceeds tol,
+    which is SYMMETRY_TOL times the tensor's max|R_ijkl|."""
 
     antisym_first: float
     antisym_second: float
     pair_symmetry: float
     bianchi: float
-    tol: float = SYMMETRY_TOL
+    max_abs: float
+
+    @property
+    def tol(self) -> float:
+        return SYMMETRY_TOL * self.max_abs
 
     @property
     def max_residual(self) -> float:
@@ -107,16 +112,17 @@ _SYMMETRY_SUMS = np.array([[1, 1, 0, 0, 0, 0], [1, 0, 1, 0, 0, 0], [1, 0, 0, -1,
 def validate_symmetries(R: RiemannTensor) -> SymmetryReport:
     """Residuals of the index symmetries, tested against SYMMETRY_TOL max|R|."""
     gathered = R.components.ravel()[_SYMMETRY_GATHER]
-    first, second, pair, bianchi, size = np.abs(_SYMMETRY_SUMS @ gathered).max(axis=1).tolist()
+    first, second, pair, bianchi, max_abs = np.abs(_SYMMETRY_SUMS @ gathered).max(axis=1).tolist()
     return SymmetryReport(antisym_first=first, antisym_second=second,
-                          pair_symmetry=pair, bianchi=bianchi,
-                          tol=SYMMETRY_TOL * size)
+                          pair_symmetry=pair, bianchi=bianchi, max_abs=max_abs)
 
 
-def _require_valid(R: RiemannTensor) -> None:
+def _require_valid(R: RiemannTensor) -> float:
+    """max|R_ijkl|, once the symmetries hold to tolerance."""
     rep = validate_symmetries(R)
     if not rep.valid:
         raise InvalidSymmetry(f"symmetry residual {rep.max_residual:.3e} > {rep.tol}")
+    return rep.max_abs
 
 
 def operator_from_tensor(R: RiemannTensor) -> CurvatureOperator:
@@ -150,7 +156,7 @@ def ricci(R: RiemannTensor) -> np.ndarray:
 
 
 def decompose(R: RiemannTensor) -> CurvatureDecomposition:
-    _require_valid(R)
+    max_abs = _require_valid(R)
     mp = _block_frame(R)
     ric = ricci(R)
     s = float(np.trace(ric))
@@ -168,7 +174,7 @@ def decompose(R: RiemannTensor) -> CurvatureDecomposition:
         z_block=z_block,
         wp_eigs=np.linalg.eigvalsh(wplus),
         wm_eigs=np.linalg.eigvalsh(wminus),
-        max_abs=float(np.abs(R.components).max()),
+        max_abs=max_abs,
     )
 
 
