@@ -166,18 +166,24 @@ def plane_from_sd_asd(H: Form2, K: Form2, tol: float = DEFAULT_TOL) -> Plane2:
     The stored form is rebuilt from the exactly normalized H and K, so it is
     exactly unit and decomposable even when the inputs carry rounding noise.
     """
-    for name, f in (("H", H), ("K", K)):
-        if abs(f.norm - 1.0) > tol:
-            raise NonUnitInput(f"|{name}| = {f.norm:.12g}, expected 1")
-    hs = STAR_MATRIX @ H.coeffs
-    if np.abs(hs - H.coeffs).max() > tol:
+    return _planes(H.coeffs[None], K.coeffs[None], tol)[0]
+
+
+def _planes(H: np.ndarray, K: np.ndarray, tol: float = DEFAULT_TOL) -> list[Plane2]:
+    """plane_from_sd_asd on paired rows (n, 6) of H and K coefficients, with
+    the same checks; an error names the first offending row's value."""
+    hn, kn = np.linalg.norm(H, axis=1), np.linalg.norm(K, axis=1)
+    for name, n in (("H", hn), ("K", kn)):
+        bad = np.abs(n - 1.0) > tol
+        if bad.any():
+            raise NonUnitInput(f"|{name}| = {n[bad][0]:.12g}, expected 1")
+    if np.abs(H @ STAR_MATRIX - H).max() > tol:
         raise WrongDuality("H is not self-dual")
-    ks = STAR_MATRIX @ K.coeffs
-    if np.abs(ks + K.coeffs).max() > tol:
+    if np.abs(K @ STAR_MATRIX + K).max() > tol:
         raise WrongDuality("K is not anti-self-dual")
-    h = H.coeffs / np.linalg.norm(H.coeffs)
-    k = K.coeffs / np.linalg.norm(K.coeffs)
-    return Plane2(Form2((h + k) / _S2), Form2(h), Form2(k))
+    h, k = H / hn[:, None], K / kn[:, None]
+    return [Plane2(Form2(p), Form2(a), Form2(b))
+            for p, a, b in zip((h + k) / _S2, h, k)]
 
 
 def plane_from_vectors(x, y, tol: float = DEFAULT_TOL) -> Plane2:

@@ -41,8 +41,12 @@ goes on undisturbed, and a stalled one is bisected every third step.
 This is the classic max-lambda_min problem over an affine family
 (Overton, SIAM J. Optim. 2, 1992; Lewis and Overton, Acta Numerica 5,
 1996).  The solve stops when the balanced plane's value is within
-1e-15 |M| of the best dual value, or the bracket is no wider than that;
-a dual takes about six eigensolves.
+1e-15 |M| of the best dual value, or the bracket is no wider than that.
+Both duals start from the same bracket, and the ends -M -+ 2|M| * of the
+max dual are -(M +- 2|M| *), so one stacked eigh of M -+ 2|M| * serves
+all four ends: the max dual reads the highest eigenpairs, negated and
+reversed.  With one more stacked eigh for the two 3x3 blocks, a scan
+makes about nine eigh calls over eleven matrices.
 The solve runs on M divided by the power of two at max|M|; that scaling
 is exact, and it keeps |M| from overflowing or underflowing at any finite
 scale.
@@ -67,8 +71,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentInputs
-from .forms import (BLOCK_BASIS, Plane2, _wedges, asd_form, complement,
-                    plane_from_sd_asd, random_frames, sd_form)
+from .forms import (ASD_BASIS, BLOCK_BASIS, SD_BASIS, Plane2, _planes,
+                    _wedges, complement, random_frames)
 from .reporting import CheckReport
 from .tensor import (SYMMETRY_TOL, CurvatureDecomposition, RiemannTensor,
                      _block_frame, _blocks, decompose, operator_from_tensor)
@@ -164,15 +168,15 @@ def batch_biorthogonal(R: RiemannTensor, hs: np.ndarray, ks: np.ndarray) -> np.n
     return _plane_values(_block_frame(R), hs, ks)[1]
 
 
-def _lowest(mp: np.ndarray, t: float, tol: float) -> tuple[float, np.ndarray, float, float]:
-    """(g, v, g', g''): the lowest eigenpair of mp + t * and the slope and curvature of g.
+def _lowest(w: np.ndarray, v: np.ndarray, tol: float) -> tuple[float, np.ndarray, float, float]:
+    """(g, v, g', g''): the lowest eigenpair of mp + t *, given all its
+    eigenpairs (w, v) as eigh returns them, and the slope and curvature of g.
 
     The slope is v' * v and the curvature 2 sum_j (v_j' * v)^2 / (g - w_j) over
     the other eigenpairs (second-order perturbation); where the lowest gap is at
     most tol, the eigenvalue is double to working precision and the curvature
     is reported as 0, i.e. unknown.
     """
-    w, v = np.linalg.eigh(mp + t * _STAR_MATRIX)
     c = (_STAR * v[:, 0]) @ v
     gap = w[1:] - w[0]
     curv = float(-2.0 * (c[1:] ** 2 / gap).sum()) if gap[0] > tol else 0.0
@@ -194,14 +198,17 @@ def _balanced(v_lo: np.ndarray, s_lo: float, v_hi: np.ndarray, s_hi: float) -> n
     return a * v_lo + b * v_hi if a or b else v_lo
 
 
-def _dual_min(mp: np.ndarray, norm: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """(g, h, k): the dual value max_t lambda_min(mp + t *) and a plane attaining it."""
-    # the zero operator is scale-free: any bracket around t = 0 will do
-    width = norm or 1.0
+def _dual_min(mp: np.ndarray, width: float,
+              ends: list) -> tuple[float, np.ndarray, np.ndarray]:
+    """(g, h, k): the dual value max_t lambda_min(mp + t *) and a plane attaining it.
+
+    The bracket starts at [-2 width, 2 width], and ends holds the eigh
+    results (w, v) of mp + t * at its two ends.
+    """
     tol = _BRACKET_REL * width
     lo, hi = -2.0 * width, 2.0 * width
-    g_lo, v_lo, s_lo, c_lo = _lowest(mp, lo, tol)
-    g_hi, v_hi, s_hi, c_hi = _lowest(mp, hi, tol)
+    g_lo, v_lo, s_lo, c_lo = _lowest(*ends[0], tol)
+    g_hi, v_hi, s_hi, c_hi = _lowest(*ends[1], tol)
     # the bracket width and the near end's |slope|, two steps and one step back
     spans, slopes = [np.inf, np.inf], [np.inf, np.inf]
     while True:
@@ -219,17 +226,13 @@ def _dual_min(mp: np.ndarray, norm: float) -> tuple[float, np.ndarray, np.ndarra
             t = 0.5 * (lo + hi)
             if not lo < t < hi:
                 break
-        g, u, s, c = _lowest(mp, t, tol)
+        g, u, s, c = _lowest(*np.linalg.eigh(mp + t * _STAR_MATRIX), tol)
         if s >= 0.0:
             lo, g_lo, v_lo, s_lo, c_lo = t, g, u, s, c
         else:
             hi, g_hi, v_hi, s_hi, c_hi = t, g, u, s, c
     h, k = v[:3], v[3:]
     return max(g_lo, g_hi), h / np.linalg.norm(h), k / np.linalg.norm(k)
-
-
-def _plane(h: np.ndarray, k: np.ndarray) -> Plane2:
-    return plane_from_sd_asd(sd_form(h), asd_form(k))
 
 
 def scan_extremes(R: RiemannTensor, budget: None = None) -> PinchingReport:
@@ -250,15 +253,24 @@ def _scan_blocks(mp: np.ndarray) -> PinchingReport:
     e = int(np.frexp(np.abs(mp).max())[1])
     unit = np.ldexp(mp, -e)
     norm = float(np.linalg.norm(unit))
+    # the zero operator is scale-free: any bracket around t = 0 will do
+    width = norm or 1.0
 
-    g_min, h_lo, k_lo = _dual_min(unit, norm)
-    g_neg, h_hi, k_hi = _dual_min(-unit, norm)
+    # the max dual's ends -unit -+ 2 width * are -(unit +- 2 width *): its
+    # eigenpairs are those of the min dual's ends, negated and reversed
+    w, v = np.linalg.eigh(unit + np.multiply.outer([-2.0 * width, 2.0 * width],
+                                                   _STAR_MATRIX))
+    g_min, h_lo, k_lo = _dual_min(unit, width, [(w[0], v[0]), (w[1], v[1])])
+    g_neg, h_hi, k_hi = _dual_min(-unit, width, [(-w[1, ::-1], v[1][:, ::-1]),
+                                                 (-w[0, ::-1], v[0][:, ::-1])])
     rounding = _ROUNDING_REL * norm
     kmin_val, kmax_val = _plane_values(mp, np.array([h_lo, h_hi]),
                                        np.array([k_lo, k_hi]))[0].tolist()
 
-    wa, va = np.linalg.eigh(mp[:3, :3])
-    wc, vc = np.linalg.eigh(mp[3:, 3:])
+    (wa, wc), (va, vc) = np.linalg.eigh(np.stack([mp[:3, :3], mp[3:, 3:]]))
+    argmin, argmax, k1perp, k3perp = _planes(
+        np.array([h_lo, h_hi, va[:, 0], va[:, 2]]) @ SD_BASIS.T,
+        np.array([k_lo, k_hi, vc[:, 0], vc[:, 2]]) @ ASD_BASIS.T)
 
     return PinchingReport(
         k_min=kmin_val,
@@ -266,10 +278,10 @@ def _scan_blocks(mp: np.ndarray) -> PinchingReport:
         k1perp=float(0.5 * (wa[0] + wc[0])),
         k3perp=float(0.5 * (wa[2] + wc[2])),
         delta=(kmin_val / kmax_val) if kmax_val > 0 else None,
-        argmin_plane=_plane(h_lo, k_lo),
-        argmax_plane=_plane(h_hi, k_hi),
-        k1perp_plane=_plane(va[:, 0], vc[:, 0]),
-        k3perp_plane=_plane(va[:, 2], vc[:, 2]),
+        argmin_plane=argmin,
+        argmax_plane=argmax,
+        k1perp_plane=k1perp,
+        k3perp_plane=k3perp,
         k_min_lower=float(np.ldexp(g_min - rounding, e)),
         k_max_upper=float(np.ldexp(rounding - g_neg, e)),
     )

@@ -164,6 +164,7 @@ def decompose(R: RiemannTensor) -> CurvatureDecomposition:
     wplus = mp[:3, :3] - u * np.eye(3)
     wminus = mp[3:, 3:] - u * np.eye(3)
     z_block = mp[:3, 3:]
+    wp_eigs, wm_eigs = np.linalg.eigvalsh(np.stack([wplus, wminus]))
     return CurvatureDecomposition(
         s=s,
         u=u,
@@ -172,8 +173,8 @@ def decompose(R: RiemannTensor) -> CurvatureDecomposition:
         wplus=wplus,
         wminus=wminus,
         z_block=z_block,
-        wp_eigs=np.linalg.eigvalsh(wplus),
-        wm_eigs=np.linalg.eigvalsh(wminus),
+        wp_eigs=wp_eigs,
+        wm_eigs=wm_eigs,
         max_abs=max_abs,
     )
 

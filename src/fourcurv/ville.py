@@ -21,9 +21,9 @@ u + <W+ H, H>/2 fills [v_1, v_3], so the operator bound is checked at
 these four exact extremes.
 
 All checks here take the caller's scan of the tensor and verify pinching
-first through its certified bounds, allowing SCAN_ACCURACY as margin;
-they refuse to run otherwise, because the underlying lemmas are simply
-false without the hypothesis.
+first through its certified bounds, allowing SCAN_ACCURACY (times max|R|
+below scale 1) as margin; they refuse to run otherwise, because the
+underlying lemmas are simply false without the hypothesis.
 """
 from __future__ import annotations
 
@@ -102,12 +102,17 @@ def ville_data(dec: CurvatureDecomposition, delta: float) -> VilleData:
 
 def _verify_pinching(dec: CurvatureDecomposition, delta: float,
                      scan: PinchingReport) -> None:
-    """Precondition K <= 1 and K >= delta on the certified bounds of a scan of dec."""
+    """Precondition K <= 1 and K >= delta on the certified bounds of a scan of dec.
+
+    The margin is SCAN_ACCURACY, times max|R| below scale 1, so that a tensor
+    far smaller than SCAN_ACCURACY is not taken for a pinched one.
+    """
     _require_same_tensor(dec, scan)
-    if scan.k_max_upper > 1.0 + SCAN_ACCURACY:
+    margin = SCAN_ACCURACY * min(1.0, dec.max_abs)
+    if scan.k_max_upper > 1.0 + margin:
         raise PinchingNotVerified(
             f"k_max <= {scan.k_max_upper:.9g} is not certified below 1")
-    if scan.k_min_lower < delta - SCAN_ACCURACY:
+    if scan.k_min_lower < delta - margin:
         raise PinchingNotVerified(
             f"k_min >= {scan.k_min_lower:.9g} is not certified above "
             f"delta = {delta:.9g}")

@@ -170,6 +170,19 @@ def test_check_ville_on_pinched_samples(capsys):
         assert report["n_violations"] == 0
 
 
+@pytest.mark.parametrize("suite", ["ville", "deg"])
+def test_check_refuses_a_tensor_below_the_pinching_margin(tmp_path, capsys, suite):
+    # k_min = -2.6e-7 at scale 1e-7, so the tensor is not pinched at its own
+    # delta = 0; warnings are errors here, so a leaked negative A_i
+    # RuntimeWarning would fail the call
+    fc.save_tensor(fc.random_algebraic_tensor(3, scale=1e-7), str(tmp_path / "small.json"))
+    assert run_cli("check", suite, "--input", str(tmp_path / "small.json")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fourcurv: hypothesis not met: k_min >= ")
+    assert captured.err.count("\n") == 1
+
+
 def test_sweep_merges_per_tensor_count(capsys):
     # ville makes two reports per tensor; the merged report counts tensors
     code, payload = run_json(capsys, "check", "ville", "--samples", "3")

@@ -1,10 +1,11 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 import fourcurv as fc
-from fourcurv.forms import PAIRS
+from fourcurv.forms import PAIRS, _planes
 
 
 def _levi_civita():
@@ -133,6 +134,43 @@ def test_plane_input_validation():
         fc.plane_from_vectors([1, 0, 0, 0], [1, 1, 0, 0])
     with pytest.raises(fc.NonOrthonormalInput):
         fc.plane_from_vectors([2, 0, 0, 0], [0, 1, 0, 0])
+
+
+def _unit_rows(rng, n, basis):
+    x = rng.normal(size=(n, 3))
+    return (x / np.linalg.norm(x, axis=1, keepdims=True)) @ basis.T
+
+
+def test_planes_batch_matches_one_row_path(rng):
+    H = _unit_rows(rng, 50, fc.SD_BASIS)
+    K = _unit_rows(rng, 50, fc.ASD_BASIS)
+    for plane, h, k in zip(_planes(H, K), H, K):
+        one = fc.plane_from_sd_asd(fc.Form2(h), fc.Form2(k))
+        # and the one-row arithmetic itself, row by row
+        h1, k1 = h / np.linalg.norm(h), k / np.linalg.norm(k)
+        loop = fc.Plane2(fc.Form2((h1 + k1) / np.sqrt(2.0)), fc.Form2(h1), fc.Form2(k1))
+        for field in ("form", "sd_unit", "asd_unit"):
+            for ref in (one, loop):
+                diff = getattr(plane, field).coeffs - getattr(ref, field).coeffs
+                assert np.abs(diff).max() <= np.finfo(float).eps
+
+
+@pytest.mark.parametrize("row", [0, 2])
+def test_planes_batch_refuses_a_bad_row_as_the_one_row_path(rng, row):
+    # the same typed error and message as plane_from_sd_asd on that row
+    good_h = _unit_rows(rng, 3, fc.SD_BASIS)
+    good_k = _unit_rows(rng, 3, fc.ASD_BASIS)
+    for error, H, K, message in (
+            (fc.NonUnitInput, 2.0 * good_h[row], good_k[row], "|H| = 2, expected 1"),
+            (fc.NonUnitInput, good_h[row], 0.5 * good_k[row], "|K| = 0.5, expected 1"),
+            (fc.WrongDuality, good_k[row], good_k[row], "H is not self-dual"),
+            (fc.WrongDuality, good_h[row], good_h[row], "K is not anti-self-dual")):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            fc.plane_from_sd_asd(fc.Form2(H), fc.Form2(K))
+        batch_h, batch_k = good_h.copy(), good_k.copy()
+        batch_h[row], batch_k[row] = H, K
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            _planes(batch_h, batch_k)
 
 
 def test_form2_shape_validation():

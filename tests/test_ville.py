@@ -196,6 +196,20 @@ def test_pinching_precondition_uses_certified_bounds(model_decs, model_scans):
     fc.znorm_bound_check(model_decs["S4"], 1.0, scan=s4)
 
 
+def test_pinching_margin_scales_with_a_small_tensor():
+    # at scale 1e-7, k_min = -2.6e-7 lies within the absolute SCAN_ACCURACY
+    # of delta = 0, but not within SCAN_ACCURACY max|R|
+    R = fc.random_algebraic_tensor(3, scale=1e-7)
+    dec, scan = fc.decompose(R), fc.scan_extremes(R)
+    assert -fc.SCAN_ACCURACY < scan.k_min_lower < 0.0
+    with pytest.raises(fc.PinchingNotVerified):
+        fc.operator_bound_check(R, 0.0, scan=scan)
+    with pytest.raises(fc.PinchingNotVerified):
+        fc.znorm_bound_check(dec, 0.0, scan=scan)
+    with pytest.raises(fc.PinchingNotVerified):
+        fc.deg_lower_bound(dec, 0.0, scan=scan)
+
+
 def test_pinching_checks_refuse_a_scan_of_another_tensor():
     # a pinched sample's scan does not certify the pinching of S4 at r = 1.2
     R = fc.model("S4", r=1.2).tensor
