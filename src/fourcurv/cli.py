@@ -31,13 +31,12 @@ from .invariants import homogeneous_invariants, integrand_values
 from .models import model, model_names, pinched_sample
 from .reporting import CheckReport
 from .scan import SCAN_ACCURACY, scan_extremes, seaman_check
-from .tensor import (RiemannTensor, decompose, load_tensor,
-                     operator_from_tensor, random_algebraic_tensor,
+from .tensor import (decompose, load_tensor, random_algebraic_tensor,
                      tensor_to_dict)
 from .verdict import CRITICAL_DELTA, critical_delta, theorem1_verdict, \
     theorem2_verdict
 from .ville import deg_lower_bound, operator_bound_check, znorm_bound_check
-from .weitzenbock import (_lemma1_slack, k3_bound_check, lemma1_suite,
+from .weitzenbock import (k3_bound_check, lemma1_bound_check, lemma1_suite,
                           weitzenbock_operator)
 
 _CHECK_TOL = 1e-9
@@ -164,15 +163,6 @@ def _merge(name: str, reports, n_tensors: int) -> CheckReport:
     )
 
 
-def _lemma1_on(R: RiemannTensor, n_forms: int, seed: int,
-               tol: float) -> CheckReport:
-    """Lemma 1 on one tensor over n_forms seeded random unit forms."""
-    omegas = np.random.default_rng(seed).normal(size=(n_forms, 6))
-    slack, scale = _lemma1_slack(operator_from_tensor(R).matrix,
-                                 omegas / np.linalg.norm(omegas, axis=1, keepdims=True))
-    return CheckReport.from_slack("lemma1", slack, tol * scale)
-
-
 def _dispatch(config: argparse.Namespace) -> tuple[dict, list[str], int]:
     """Returns (json payload, text lines, exit code)."""
     cmd = config.command
@@ -212,7 +202,7 @@ def _dispatch(config: argparse.Namespace) -> tuple[dict, list[str], int]:
         R, _ = _source(config)
         N = weitzenbock_operator(R)
         eigs = np.linalg.eigvalsh(N.matrix)
-        suite = _lemma1_on(R, config.samples, config.seed, tol)
+        suite = lemma1_bound_check(decompose(R), tol)
         payload.update({"matrix": N.matrix.tolist(),
                         "eigenvalues": eigs.tolist(),
                         "lemma1": suite.as_dict()})
@@ -304,8 +294,8 @@ def _run_check(config: argparse.Namespace, tol: float) -> list[CheckReport]:
     suite = config.suite
     R, _ = _source(config, required=False)
     if suite == "lemma1":
-        # its sweep draws tensors and forms from one RNG stream
-        return [_lemma1_on(R, config.samples, config.seed, tol) if R is not None
+        # one tensor at its exact minimum; the sweep draws from one RNG stream
+        return [lemma1_bound_check(decompose(R), tol) if R is not None
                 else lemma1_suite(n_tensors=config.samples, n_forms=100,
                                   seed=config.seed, tol=tol)]
 
@@ -327,9 +317,10 @@ def _run_check(config: argparse.Namespace, tol: float) -> list[CheckReport]:
         elif suite == "k3bound":
             reports.append(k3_bound_check(decompose(tensor), tol=tol))
         else:
-            # checked at the tensor's own observed delta = k_min/k_max
+            # checked at the tensor's own certified pinching level: K lies
+            # in [k_min_lower, 1] once k_max_upper <= 1 is verified
             scan = scan_extremes(tensor)
-            delta = max(0.0, scan.delta or 0.0)
+            delta = max(0.0, scan.k_min_lower)
             dec = decompose(tensor)
             if suite == "ville":
                 reports += [operator_bound_check(tensor, delta, tol=tol, scan=scan),

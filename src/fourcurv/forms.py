@@ -90,14 +90,13 @@ class Frame4:
     """Oriented orthonormal frame of R^4; columns are the frame vectors."""
 
     columns: np.ndarray
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         cols = np.asarray(self.columns, dtype=float)
         if cols.shape != (4, 4):
             raise ValueError("Frame4 needs a 4x4 column matrix")
         resid = np.abs(cols.T @ cols - np.eye(4)).max()
-        if resid > self.tol:
+        if resid > DEFAULT_TOL:
             raise NonOrthonormalInput(f"frame orthonormality residual {resid:.3e}")
         if np.linalg.det(cols) < 0:
             raise NonOrthonormalInput("frame is negatively oriented")
@@ -160,51 +159,48 @@ def asd_coords(omega: Form2) -> np.ndarray:
     return ASD_BASIS.T @ omega.coeffs
 
 
-def plane_from_sd_asd(H: Form2, K: Form2, tol: float = DEFAULT_TOL) -> Plane2:
+def plane_from_sd_asd(H: Form2, K: Form2) -> Plane2:
     """Plane with form (H+K)/sqrt(2) for unit H in Lambda+, unit K in Lambda-.
 
     The stored form is rebuilt from the exactly normalized H and K, so it is
     exactly unit and decomposable even when the inputs carry rounding noise.
     """
-    return _planes(H.coeffs[None], K.coeffs[None], tol)[0]
+    return _planes(H.coeffs[None], K.coeffs[None])[0]
 
 
-def _planes(H: np.ndarray, K: np.ndarray, tol: float = DEFAULT_TOL) -> list[Plane2]:
+def _planes(H: np.ndarray, K: np.ndarray) -> list[Plane2]:
     """plane_from_sd_asd on paired rows (n, 6) of H and K coefficients, with
     the same checks; an error names the first offending row's value."""
     hn, kn = np.linalg.norm(H, axis=1), np.linalg.norm(K, axis=1)
     for name, n in (("H", hn), ("K", kn)):
-        bad = np.abs(n - 1.0) > tol
+        bad = np.abs(n - 1.0) > DEFAULT_TOL
         if bad.any():
             raise NonUnitInput(f"|{name}| = {n[bad][0]:.12g}, expected 1")
-    if np.abs(H @ STAR_MATRIX - H).max() > tol:
+    if np.abs(H @ STAR_MATRIX - H).max() > DEFAULT_TOL:
         raise WrongDuality("H is not self-dual")
-    if np.abs(K @ STAR_MATRIX + K).max() > tol:
+    if np.abs(K @ STAR_MATRIX + K).max() > DEFAULT_TOL:
         raise WrongDuality("K is not anti-self-dual")
     h, k = H / hn[:, None], K / kn[:, None]
     return [Plane2(Form2(p), Form2(a), Form2(b))
             for p, a, b in zip((h + k) / _S2, h, k)]
 
 
-def plane_from_vectors(x, y, tol: float = DEFAULT_TOL) -> Plane2:
+def plane_from_vectors(x, y) -> Plane2:
     """Plane spanned by an orthonormal pair (x, y)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     for name, v in (("x", x), ("y", y)):
         n = np.linalg.norm(v)
-        if abs(n - 1.0) > tol:
+        if abs(n - 1.0) > DEFAULT_TOL:
             raise NonOrthonormalInput(f"|{name}| = {n:.12g}, expected 1")
     dot = float(x @ y)
-    if abs(dot) > tol:
+    if abs(dot) > DEFAULT_TOL:
         raise NonOrthonormalInput(f"<x,y> = {dot:.3e}, expected 0")
     p = wedge(x, y)
     plus, minus = sd_asd_split(p)
     # |plus| = |minus| = 1/sqrt(2) for a unit decomposable form
-    return plane_from_sd_asd(
-        Form2(plus.coeffs / plus.norm),
-        Form2(minus.coeffs / minus.norm),
-        tol=tol,
-    )
+    return plane_from_sd_asd(Form2(plus.coeffs / plus.norm),
+                             Form2(minus.coeffs / minus.norm))
 
 
 def complement(plane: Plane2) -> Plane2:

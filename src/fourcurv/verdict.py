@@ -100,15 +100,14 @@ def min_over_E(delta: float) -> tuple[float, tuple[float, float, float]]:
     return values[i], vertices[i]
 
 
-def dense_grid_min_over_E(delta: float, n: int = 60
-                          ) -> tuple[float, tuple[float, float, float]]:
-    """Brute-force minimum of f over a grid on E, kink points included.
+def dense_grid_min_over_E(delta: float) -> tuple[float, tuple[float, float, float]]:
+    """Brute-force minimum of f over a 60-point grid on E, kink points included.
 
     The grid always contains (1 + delta)/2, where m switches branch; the
     corner shortcut misses the dip there for small delta, so this routine
     can return strictly less than min_over_E.
     """
-    pts = np.linspace(delta, 1.0, n)
+    pts = np.linspace(delta, 1.0, 60)
     kink = 0.5 * (1.0 + delta)
     if delta <= kink <= 1.0:
         pts = np.unique(np.append(pts, kink))
@@ -140,8 +139,8 @@ def theorem1_verdict(dec: CurvatureDecomposition, scan: PinchingReport,
     """Half-conformally-flat pinching verdict.
 
     Hypotheses: one Weyl half vanishes to tol max|R| (orientation is
-    flipped, and noted, when it is the self-dual half), and the scanned
-    sectional range sits in [(3 sqrt(3) - 5)/4, 1] up to tol.  On
+    flipped, and noted, when it is the self-dual half), and the scan's
+    certified bounds put every K in [(3 sqrt(3) - 5)/4, 1] up to tol.  On
     acceptance the pointwise chain fg/2 >= f(v1,v2,v3) >= 0 is evaluated
     and recorded in the notes.  dec and scan must come from one tensor.
     """
@@ -162,13 +161,13 @@ def theorem1_verdict(dec: CurvatureDecomposition, scan: PinchingReport,
                      "(signature integrand changes sign)")
     else:
         half_flat = False
-    pinched = (scan.k_max <= 1.0 + tol
-               and scan.k_min >= CRITICAL_DELTA - tol)
+    pinched = (scan.k_max_upper <= 1.0 + tol
+               and scan.k_min_lower >= CRITICAL_DELTA - tol)
     hold = bool(half_flat and pinched)
     if not half_flat:
         notes.append("neither Weyl half vanishes to tolerance")
     if hold:
-        delta = float(min(max(scan.k_min, CRITICAL_DELTA), 1.0))
+        delta = float(min(max(scan.k_min_lower, CRITICAL_DELTA), 1.0))
         vd = ville_data(work, delta)
         fval = f_eval(vd.v[0], vd.v[1], vd.v[2], delta)
         half_fg = 0.5 * fg_value(work)
@@ -180,7 +179,7 @@ def theorem1_verdict(dec: CurvatureDecomposition, scan: PinchingReport,
         theorem="One",
         hypotheses_hold=hold,
         computed_threshold=CRITICAL_DELTA,
-        margin=float(scan.k_min - CRITICAL_DELTA),
+        margin=float(scan.k_min_lower - CRITICAL_DELTA),
         claim_text=_CLAIM_ONE if hold else "",
         notes=tuple(notes),
     )

@@ -40,6 +40,8 @@ from .scan import (SCAN_ACCURACY, PinchingReport, _require_same_tensor,
 from .tensor import CurvatureDecomposition, RiemannTensor, decompose
 
 _ZERO_IMAGE = 1e-13
+# A_i is zero up to rounding at equality pinching (v_i = delta or v_i = 1)
+_A_ROUNDING = 1e-12
 
 
 @dataclass
@@ -81,9 +83,7 @@ def ville_data(dec: CurvatureDecomposition, delta: float) -> VilleData:
             lam[i] = float(k @ dec.wminus @ k)
     a = np.minimum(1.0 - v - 0.5 * lam, v + 0.5 * lam - delta)
     a_stmt = np.minimum(1.0 - v + 0.5 * lam, v + 0.5 * lam - delta)
-    # equality pinching (v_i = delta or v_i = 1) puts A_i at zero up to
-    # rounding; only genuinely negative values signal inconsistency
-    if a.min() < -1e-12:
+    if a.min() < -_A_ROUNDING:
         warnings.warn(
             f"negative A_i (min {a.min():.3e}): delta={delta} is inconsistent "
             "with the pinching of this decomposition", RuntimeWarning)
@@ -146,7 +146,7 @@ def znorm_bound_check(dec: CurvatureDecomposition, delta: float,
     rhs = 2.0 * float((vd.a ** 2).sum())
     rhs_other = 2.0 * float((vd.a_statement ** 2).sum())
     notes = ()
-    if vd.a.min() < 0:
+    if vd.a.min() < -_A_ROUNDING:
         notes = ("negative A_i: pinching level and decomposition disagree",)
     return CheckReport.from_slack(
         "znorm_bound", rhs - lhs, tol,

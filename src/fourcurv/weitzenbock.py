@@ -16,10 +16,11 @@ The lower bound checked here:
 
     <N w, w> >= 4 K1perp |w|^2 - (1/3)(s - 12 K1perp) | |w+|^2 - |w-|^2 |.
 
-Both sides are evaluated on the block-frame operator, where N is
-tr(M) Id - 2 (A (+) C) for the diagonal blocks A and C, s = 2 tr(M) and
-K1perp comes from the lowest eigenvalues of A and C.  lemma1_suite runs
-this on a whole stack of operators, (n_tensors, 6, 6), at once.
+On given forms both sides are evaluated on the block-frame operator, where
+N is tr(M) Id - 2 (A (+) C) for the diagonal blocks A and C, s = 2 tr(M)
+and K1perp comes from the lowest eigenvalues of A and C; lemma1_suite
+samples a stack of random operators, (n_tensors, 6, 6), at once.  For one
+tensor lemma1_bound_check gives the least slack over all forms exactly.
 """
 from __future__ import annotations
 
@@ -89,13 +90,22 @@ def lemma1_check(R: RiemannTensor, omega: Form2) -> tuple[float, float]:
     return float(lhs[0]), float(rhs[0])
 
 
-def _lemma1_slack(m: np.ndarray, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lhs - rhs, max|R|) for wedge-basis operators m (..., 6, 6) and forms
-    omegas (..., n, 6).  The bound is an equality on the model spaces, so
-    tolerances on its slack are relative to max|R|, as for Seaman and K3perp.
+def lemma1_bound_check(dec: CurvatureDecomposition, tol: float) -> CheckReport:
+    """The bound's least slack over all unit forms, in closed form.
+
+    With a = |w+|^2 fixed the slack is least when w+ and w- lie along the
+    top eigenvectors of W+ and W-, and there it is linear in a on [0, 1/2]
+    and on [1/2, 1]; the three slacks are those at a = 0, 1/2 and 1.  The
+    bound, an equality on the models, holds when the least is >= -tol max|R|.
     """
-    lhs, rhs = _lemma1_sides(BLOCK_BASIS.T @ m @ BLOCK_BASIS, omegas @ BLOCK_BASIS)
-    return lhs - rhs, np.abs(m).max(axis=(-2, -1))[..., None]
+    # slack(a) = s/2 - 2 (u + w3+) a - 2 (u + w3-) (1 - a) - 4 K1perp + c |2a - 1|
+    k1 = k1perp_closed_form(dec)
+    c = (dec.s - 12.0 * k1) / 3.0
+    w3p, w3m = dec.wp_eigs[2], dec.wm_eigs[2]
+    top = dec.u + np.array([w3m, 0.5 * (w3p + w3m), w3p])
+    return CheckReport.from_slack(
+        "lemma1", dec.s / 2.0 - 2.0 * top - 4.0 * k1 + np.array([c, 0.0, c]),
+        tol * dec.max_abs)
 
 
 def lemma1_suite(n_tensors: int = 1000, n_forms: int = 100, seed: int = 0,
@@ -110,8 +120,10 @@ def lemma1_suite(n_tensors: int = 1000, n_forms: int = 100, seed: int = 0,
     """
     rng = np.random.default_rng(seed)
     draws = rng.normal(size=(n_tensors, 36 + 6 * n_forms))
-    slack, scale = _lemma1_slack(_algebraic(draws[:, :36].reshape(-1, 6, 6)),
-                                 draws[:, 36:].reshape(n_tensors, n_forms, 6))
+    m = _algebraic(draws[:, :36].reshape(-1, 6, 6))
+    lhs, rhs = _lemma1_sides(BLOCK_BASIS.T @ m @ BLOCK_BASIS,
+                             draws[:, 36:].reshape(n_tensors, n_forms, 6) @ BLOCK_BASIS)
+    slack, scale = lhs - rhs, np.abs(m).max(axis=(-2, -1))[..., None]
     near_eq = int((slack < 1e-6 * scale).sum())
     return CheckReport.from_slack(
         "lemma1", slack, tol * scale,
@@ -145,9 +157,7 @@ def adapted_frame(omega: Form2) -> Frame4:
     return Frame4(np.column_stack([x, y, z, t]))
 
 
-def intermediate_identity_check(R: RiemannTensor, omega: Form2,
-                                frame: Frame4 | None = None,
-                                tol: float = 1e-9) -> CheckReport:
+def intermediate_identity_check(R: RiemannTensor, omega: Form2) -> CheckReport:
     """<N w, w> against its adapted-frame expansion.
 
     The expansion reads |w|^2 (K13 + K14 + K23 + K24) - 2 R_1234
@@ -155,8 +165,7 @@ def intermediate_identity_check(R: RiemannTensor, omega: Form2,
     Both sides are computed through unrelated code paths, so agreement
     validates the operator and the frame construction at once.
     """
-    if frame is None:
-        frame = adapted_frame(omega)
+    frame = adapted_frame(omega)
     plus, minus = sd_asd_split(omega)
     ap2 = plus.norm ** 2
     am2 = minus.norm ** 2
@@ -169,7 +178,7 @@ def intermediate_identity_check(R: RiemannTensor, omega: Form2,
     resid = abs(lhs - rhs)
     scale = max(1.0, abs(lhs), abs(rhs))
     return CheckReport.from_slack(
-        "intermediate_identity", tol * scale - resid, 0.0,
+        "intermediate_identity", 1e-9 * scale - resid, 0.0,
         metrics={"lhs": lhs, "rhs": float(rhs), "residual": resid})
 
 

@@ -1,4 +1,6 @@
+import ast
 import json
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -225,46 +227,68 @@ def test_weitzenbock_command(capsys):
     assert payload["lemma1"]["passed"] is True
 
 
-def lemma1_per_form(R, n_forms, seed, tol):
-    """One lemma1_check per seeded unit form: (n_violations, min_slack)."""
+def lemma1_per_form(R, n_forms, seed):
+    """The least slack of one lemma1_check per seeded unit form."""
     rng = np.random.default_rng(seed)
     slacks = []
     for _ in range(n_forms):
         coeffs = rng.normal(size=6)
         lhs, rhs = fc.lemma1_check(R, fc.Form2(coeffs / np.linalg.norm(coeffs)))
         slacks.append(lhs - rhs)
-    return sum(s < -tol for s in slacks), min(slacks)
+    return min(slacks)
 
 
 @pytest.mark.parametrize("seed", [0, 5])
-def test_lemma1_on_one_tensor_matches_per_form_checks(tmp_path, capsys, seed):
+def test_lemma1_on_one_tensor_is_the_exact_minimum(tmp_path, capsys, seed):
+    # the library's closed form over all unit forms, whatever --samples and
+    # --seed say, and no seeded form goes below it
     R = fc.random_algebraic_tensor(seed, scale=3.0)
     path = str(tmp_path / "tensor.json")
     fc.save_tensor(R, path)
-    n_viol, min_slack = lemma1_per_form(R, 40, seed, 1e-9)
-    flags = ("--input", path, "--samples", "40", "--seed", str(seed))
-    _, payload = run_json(capsys, "weitzenbock", *flags)
-    _, checked = run_json(capsys, "check", "lemma1", *flags)
-    for report in (payload["lemma1"], checked["reports"][0]):
-        assert report["n_samples"] == 40
-        assert report["n_violations"] == n_viol
-        assert report["min_slack"] == pytest.approx(min_slack, abs=1e-12)
+    want = fc.lemma1_bound_check(fc.decompose(R), 1e-9).as_dict()
+    assert want["n_samples"] == 3
+    assert want["min_slack"] <= lemma1_per_form(R, 40, seed)
+    for samples, flag_seed in (("1", seed), ("40", seed + 1)):
+        flags = ("--input", path, "--samples", samples, "--seed", str(flag_seed))
+        _, payload = run_json(capsys, "weitzenbock", *flags)
+        _, checked = run_json(capsys, "check", "lemma1", *flags)
+        assert payload["lemma1"] == checked["reports"][0] == want
 
 
 def test_lemma1_tolerance_is_relative_to_the_tensor(tmp_path, capsys):
-    # an equality case at max|R| 3.9e9, whose slack is rounding noise of
-    # about 1e-5: it holds against tol * max|R|, not against tol
-    frame = fc.random_frame(np.random.default_rng(7)).columns
-    R = fc.rotate_tensor(fc.model("S4", r=1.6e-5).tensor, frame)
-    path = str(tmp_path / "s4.json")
-    fc.save_tensor(R, path)
-    code, payload = run_json(capsys, "weitzenbock", "--input", path)
+    # rotated equality cases at max|R| 3.9e9 and 9.6e8, whose exact minima
+    # are rounding noise of +5.7e-6 and -3.6e-7: they hold against
+    # tol * max|R|, not against tol
+    for name, params, frame_seed, negative in (("S4", {"r": 1.6e-5}, 7, False),
+                                               ("CP2", {"c": 1e9}, 6, True)):
+        frame = fc.random_frame(np.random.default_rng(frame_seed)).columns
+        R = fc.rotate_tensor(fc.model(name, **params).tensor, frame)
+        path = str(tmp_path / f"{name}.json")
+        fc.save_tensor(R, path)
+        code, payload = run_json(capsys, "weitzenbock", "--input", path)
+        assert code == 0
+        code, checked = run_json(capsys, "check", "lemma1", "--input", path)
+        assert code == 0
+        for report in (payload["lemma1"], checked["reports"][0]):
+            assert report["n_violations"] == 0 and report["passed"]
+            assert abs(report["min_slack"]) < 1e-14 * fc.decompose(R).max_abs
+            assert (report["min_slack"] < -1e-9) == negative   # the noise, allowed
+
+
+@pytest.mark.parametrize("argv", [
+    ("ville", "--model", "S4", "--r", "2"),
+    ("ville", "--model", "CP2", "--c", "0.5"),
+    ("ville", "--model", "S4", "--r", "1.0000001"),
+    ("deg", "--model", "S4", "--r", "1.0000001")],
+    ids=["ville-S4-r2", "ville-CP2-c0.5", "ville-S4-r1.0000001", "deg-S4-r1.0000001"])
+def test_check_runs_a_given_tensor_at_its_certified_pinching_level(capsys, argv):
+    # delta is k_min_lower, the level the checks assert K >= delta at, not
+    # the ratio k_min/k_max; warnings are errors here, so a leaked negative
+    # A_i RuntimeWarning would fail the call
+    code, payload = run_json(capsys, "check", *argv)
     assert code == 0
-    code, checked = run_json(capsys, "check", "lemma1", "--input", path)
-    assert code == 0
-    for report in (payload["lemma1"], checked["reports"][0]):
-        assert report["n_violations"] == 0 and report["passed"]
-        assert report["min_slack"] < -1e-9   # the noise, which is allowed
+    assert capsys.readouterr().err == ""
+    assert all(r["passed"] and r["notes"] == [] for r in payload["reports"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -420,6 +444,16 @@ def test_volume_out_of_float_range_is_refused_only_where_used(capsys, name,
         assert f"{key} = {value:g}: its volume" in captured.err
     with pytest.raises(fc.NonPositiveParam, match="its volume"):
         fc.homogeneous_invariants(fc.model(name, **{key: value}))
+
+
+def test_cli_imports_no_private_library_names():
+    # the front end calls the library's public checks, not its helpers
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    private = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or node.module.startswith("fourcurv"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_cli_imports_no_test_or_optional_packages(module_env):

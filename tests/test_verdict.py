@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,6 +229,17 @@ def test_theorem1_verdicts(models, model_decs, model_scans):
     v = fc.theorem1_verdict(model_decs["S2xS2"], model_scans["S2xS2"])
     assert not v.hypotheses_hold
     assert v.claim_text == ""
+
+
+@pytest.mark.parametrize("bound", [{"k_min_lower": fc.CRITICAL_DELTA - 1e-3},
+                                   {"k_max_upper": 1.0 + 1e-3}])
+def test_theorem1_decides_on_the_certified_bounds(model_decs, model_scans, bound):
+    # the attained k_min = k_max = 1 of S4 are unchanged; only a certified
+    # bound moves outside [delta*, 1], and that alone fails the hypotheses
+    scan = dataclasses.replace(model_scans["S4"], **bound)
+    v = fc.theorem1_verdict(model_decs["S4"], scan)
+    assert not v.hypotheses_hold
+    assert v.margin == pytest.approx(scan.k_min_lower - fc.CRITICAL_DELTA)
 
 
 def test_theorem1_orientation_flip():

@@ -147,6 +147,47 @@ def test_lemma1_suite_without_samples():
         assert report.min_slack == np.inf
 
 
+def lemma1_three_slacks(dec):
+    """The slacks at |w+|^2 = 0, 1/2, 1 along the top eigenvectors of W+ and W-."""
+    k1p = fc.k1perp_closed_form(dec)
+    c = (dec.s - 12.0 * k1p) / 3.0
+    w3p, w3m = dec.wp_eigs[2], dec.wm_eigs[2]
+    return np.array([dec.s / 2 - 2 * (dec.u + w3m) - 4 * k1p + c,
+                     dec.s / 2 - (2 * dec.u + w3p + w3m) - 4 * k1p,
+                     dec.s / 2 - 2 * (dec.u + w3p) - 4 * k1p + c])
+
+
+def test_lemma1_bound_check_is_the_minimum_over_all_forms(rng, pinched_batch):
+    # no random unit form goes below the closed form, and the three forms
+    # along the top eigenvectors attain its three slacks
+    tensors = [fc.random_algebraic_tensor(rng, scale=10.0 ** rng.uniform(-3, 3))
+               for _ in range(60)]
+    tensors += [fc.rotate_tensor(fc.model(name, **params).tensor, fc.random_frame(rng).columns)
+                for name, params in (("S4", {"r": 0.3}), ("CP2", {"c": 40.0}),
+                                     ("S2xS2", {"a": 2.0, "b": 0.5}), ("FlatT4", {}))]
+    tensors += [R for R, _, _ in pinched_batch[:20]]
+    a = np.array([[0.0], [0.5], [1.0]])
+    for R in tensors:
+        dec = fc.decompose(R)
+        report = fc.lemma1_bound_check(dec, 1e-9)
+        slacks = lemma1_three_slacks(dec)
+        assert report.passed and report.n_samples == 3
+        assert abs(report.min_slack - slacks.min()) <= 1e-14 * dec.max_abs
+        omegas = rng.normal(size=(2000, 6))
+        lhs, rhs = fc.lemma1_sides(R, omegas / np.linalg.norm(omegas, axis=1, keepdims=True))
+        assert (lhs - rhs).min() >= report.min_slack - 1e-12 * dec.max_abs
+        tops = [np.linalg.eigh(w)[1][:, 2] for w in (dec.wplus, dec.wminus)]
+        forms = np.hstack([np.sqrt(a) * tops[0], np.sqrt(1.0 - a) * tops[1]]) @ fc.BLOCK_BASIS.T
+        lhs, rhs = fc.lemma1_sides(R, forms)
+        assert np.abs(lhs - rhs - slacks).max() <= 1e-13 * dec.max_abs
+
+
+def test_lemma1_bound_check_equality_on_models(model_decs):
+    for name in ("S4", "CP2", "S2xS2"):
+        report = fc.lemma1_bound_check(model_decs[name], 0.0)
+        assert abs(report.min_slack) <= 1e-14 * model_decs[name].max_abs
+
+
 def test_adapted_frame_reconstruction(rng):
     for _ in range(100):
         omega = fc.Form2(rng.normal(size=6))
