@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
@@ -147,6 +148,29 @@ def test_znorm_bound_on_pinched_samples(pinched_batch):
         report = fc.znorm_bound_check(dec, scan.delta, scan=scan)
         assert report.passed
         assert report.metrics["bound_other_version"] >= 0.0
+
+
+# tensors on which the theorem statement's A_i undercuts ||Z||^2: their
+# slacks (proof version, statement version) at the certified level
+_STATEMENT_FAILURES = {
+    420241532: (7.17e-3, -2.61e-3), 864350543: (3.51e-3, -9.15e-5),
+    682472046: (4.67e-3, -5.94e-4), 126316679: (2.51e-3, -5.21e-4)}
+
+
+@pytest.mark.parametrize("name", sorted(_STATEMENT_FAILURES))
+def test_znorm_bound_statement_version_fails_on_fixtures(name):
+    path = pathlib.Path(__file__).parent / "data" / f"pinched_{name}.json"
+    R = fc.load_tensor(path)
+    scan = fc.scan_extremes(R)
+    report = fc.znorm_bound_check(fc.decompose(R), max(0.0, scan.k_min_lower),
+                                  scan=scan)
+    proof, statement = _STATEMENT_FAILURES[name]
+    m = report.metrics
+    assert report.passed
+    assert report.min_slack == pytest.approx(proof, rel=2e-3)
+    assert m["bound_other_version"] - m["z_norm2"] == pytest.approx(
+        statement, rel=2e-3)
+    assert m["bound_other_version"] - m["z_norm2"] < 0.0
 
 
 def test_deg_equality_s4(model_decs, model_scans):
