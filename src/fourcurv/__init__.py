@@ -14,7 +14,7 @@ from .errors import (CurvatureError, DegenerateForm, InconsistentInputs,
                      InvalidSymmetry, NonOrthonormalInput, NonPositiveInput,
                      NonPositiveParam, NonPositiveScalarCurvature,
                      NonUnitInput, NotHomogeneous, PinchingNotVerified,
-                     SamplingExhausted, UnknownModel, WrongDuality)
+                     UnknownModel, WrongDuality)
 from .forms import (ASD_BASIS, BLOCK_BASIS, SD_BASIS, STAR_MATRIX, Form2,
                     Frame4, Plane2, asd_coords, asd_form, complement,
                     form_matrix, hodge_star, plane_from_sd_asd,

@@ -300,11 +300,12 @@ def _run_check(config: argparse.Namespace, tol: float) -> list[CheckReport]:
                                   seed=config.seed, tol=tol)]
 
     # a given tensor is checked alone; otherwise ville and deg, which need
-    # verified pinching, sweep pinched samples, and the others random tensors
+    # verified pinching, sweep pinched samples (sample i from the seed
+    # sequence [seed, i], so two seeds share none), the others random tensors
     if R is not None:
         tensors = [R]
     elif suite in ("ville", "deg"):
-        tensors = [pinched_sample(config.seed + i) for i in range(config.samples)]
+        tensors = [pinched_sample([config.seed, i]) for i in range(config.samples)]
     else:
         rng = np.random.default_rng(config.seed)
         tensors = [random_algebraic_tensor(rng) for _ in range(config.samples)]

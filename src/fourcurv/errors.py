@@ -54,9 +54,5 @@ class NonPositiveParam(CurvatureError):
     volume, lambda1 and curvature it gives the model."""
 
 
-class SamplingExhausted(CurvatureError):
-    """Rejection sampling hit its attempt cap without an accepted tensor."""
-
-
 class NotHomogeneous(CurvatureError):
     """Characteristic numbers are only evaluated on homogeneous models."""

@@ -1,4 +1,4 @@
-"""Built-in model spaces and a generator of random pinched samples.
+"""Built-in model spaces and random samples at an exact pinching level.
 
 Each model is given by its curvature operator on 2-forms in the wedge
 basis, and its tensor is filled in from that: I/r^2 for S4 of radius r,
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveParam, SamplingExhausted, UnknownModel
+from .errors import NonPositiveParam, UnknownModel
 from .forms import SD_BASIS, STAR_MATRIX
 from .scan import scan_extremes
 from .tensor import RiemannTensor, _algebraic, _tensor_from_matrix
@@ -114,7 +114,7 @@ def model_names() -> tuple[str, ...]:
     return tuple(label for label, _, _ in _MODELS.values())
 
 
-def _weyl_only_noise(rng: np.random.Generator, scale: float) -> np.ndarray:
+def _weyl_only_noise(rng: np.random.Generator) -> np.ndarray:
     """Operator of a traceless symmetric perturbation of the self-dual block only.
 
     Keeps the tensor Einstein and anti-self-dual-Weyl flat, which is the
@@ -123,39 +123,31 @@ def _weyl_only_noise(rng: np.random.Generator, scale: float) -> np.ndarray:
     w = rng.normal(size=(3, 3))
     w = 0.5 * (w + w.T)
     w -= np.trace(w) / 3.0 * np.eye(3)
-    return SD_BASIS @ (scale * w) @ SD_BASIS.T
+    return SD_BASIS @ w @ SD_BASIS.T
 
 
-def pinched_sample(seed: int, delta_target: float = 0.85,
-                   w_perturbation_scale: float = 0.02,
-                   weyl_only: bool = False,
-                   max_attempts: int = 64) -> RiemannTensor:
-    """Random tensor with scan-verified sectional range [delta_target, 1].
+def pinched_sample(seed, delta_target: float = 0.85,
+                   weyl_only: bool = False) -> RiemannTensor:
+    """Random tensor with sectional range [delta_target, 1], up to rounding.
 
-    Blends the unit-sphere tensor with a symmetry-projected perturbation,
-    rescales so the scanned maximum is 1, and rejects until the scanned
-    minimum clears delta_target.  Deterministic per seed.  The scanned
-    extremes are homogeneous of degree one in the tensor, so one scan per
-    attempt decides both the rescaling and the acceptance.
+    The noise N is traceless, so its sectional curvature averages s = 0
+    and one scan gives n_min < 0 < n_max.  K is linear in the operator and
+    1 on every plane for I, so (I + l N)/(1 + l n_max) with
+    l = (1 - delta)/(delta n_max - n_min) has k_max = 1 and pinching delta;
+    delta_target = 1 gives the unit S4.  N is symmetry-projected noise, or
+    with weyl_only a self-dual Weyl block.  Deterministic per seed, which
+    may be anything numpy.random.default_rng accepts.
     """
     if not 0.0 < delta_target <= 1.0:
         raise ValueError(f"delta_target must lie in (0, 1], "
                          f"got {delta_target}")
     rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
-        if weyl_only:
-            noise = _weyl_only_noise(rng, w_perturbation_scale)
-        else:
-            noise = w_perturbation_scale * _algebraic(rng.normal(size=(6, 6)))
-        R = RiemannTensor(_tensor_from_matrix(np.eye(6) + noise))
-        report = scan_extremes(R)
-        if report.k_max <= 0:
-            continue
-        if report.k_min / report.k_max < delta_target:
-            continue
-        if abs(report.k_max - 1.0) > 1e-12:
-            R = RiemannTensor(R.components / report.k_max)
-        return R
-    raise SamplingExhausted(
-        f"no sample with pinching {delta_target} in {max_attempts} attempts; "
-        "lower delta_target or w_perturbation_scale")
+    if weyl_only:
+        noise = _weyl_only_noise(rng)
+    else:
+        noise = _algebraic(rng.normal(size=(6, 6)))
+        noise -= np.trace(noise) / 6.0 * np.eye(6)
+    scan = scan_extremes(RiemannTensor(_tensor_from_matrix(noise)))
+    weight = (1.0 - delta_target) / (delta_target * scan.k_max - scan.k_min)
+    return RiemannTensor(_tensor_from_matrix(
+        (np.eye(6) + weight * noise) / (1.0 + weight * scan.k_max)))

@@ -81,9 +81,10 @@ class CurvatureDecomposition:
     """R = U + W+ + W- + Z in the SD/ASD block basis.
 
     wplus/wminus are the traceless 3x3 Weyl blocks, z_block the off-diagonal
-    block, wp_eigs/wm_eigs their eigenvalues sorted ascending (w1 <= w2 <= w3,
-    summing to zero), and max_abs the scale max|R_ijkl| that tolerances are
-    taken relative to.
+    block, wp_eigs/wm_eigs the eigenvalues of the Weyl blocks sorted ascending
+    (w1 <= w2 <= w3, summing to zero) and wp_vecs/wm_vecs their eigenvectors
+    as columns in the same order, and max_abs the scale max|R_ijkl| that
+    tolerances are taken relative to.
     """
 
     s: float
@@ -95,6 +96,8 @@ class CurvatureDecomposition:
     z_block: np.ndarray
     wp_eigs: np.ndarray
     wm_eigs: np.ndarray
+    wp_vecs: np.ndarray
+    wm_vecs: np.ndarray
     max_abs: float
 
 
@@ -164,7 +167,7 @@ def decompose(R: RiemannTensor) -> CurvatureDecomposition:
     wplus = mp[:3, :3] - u * np.eye(3)
     wminus = mp[3:, 3:] - u * np.eye(3)
     z_block = mp[:3, 3:]
-    wp_eigs, wm_eigs = np.linalg.eigvalsh(np.stack([wplus, wminus]))
+    (wp_eigs, wm_eigs), (wp_vecs, wm_vecs) = np.linalg.eigh(np.stack([wplus, wminus]))
     return CurvatureDecomposition(
         s=s,
         u=u,
@@ -175,6 +178,8 @@ def decompose(R: RiemannTensor) -> CurvatureDecomposition:
         z_block=z_block,
         wp_eigs=wp_eigs,
         wm_eigs=wm_eigs,
+        wp_vecs=wp_vecs,
+        wm_vecs=wm_vecs,
         max_abs=max_abs,
     )
 

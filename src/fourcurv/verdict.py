@@ -156,7 +156,8 @@ def theorem1_verdict(dec: CurvatureDecomposition, scan: PinchingReport,
         half_flat = True
         work = replace(dec, wplus=dec.wminus, wminus=dec.wplus,
                        z_block=dec.z_block.T.copy(),
-                       wp_eigs=dec.wm_eigs, wm_eigs=dec.wp_eigs)
+                       wp_eigs=dec.wm_eigs, wm_eigs=dec.wp_eigs,
+                       wp_vecs=dec.wm_vecs, wm_vecs=dec.wp_vecs)
         notes.append("orientation flipped: W+ vanishes, W- does not "
                      "(signature integrand changes sign)")
     else:

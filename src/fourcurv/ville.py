@@ -10,10 +10,11 @@ Quantities live in the eigenbasis H1,H2,H3 of W+: with u = s/12,
     A_i        = min(1 - v_i - lambda_i-/2, v_i + lambda_i-/2 - delta)
 
 The A_i above follow the PROOF of the Z-block estimate; the theorem
-statement prints the first term with the opposite sign on lambda_i-/2.
-Both are computed: the proof version is the bound everywhere, the
-statement version is reported beside it, and the discrepancy is not
-resolved.
+statement prints the first term with the opposite sign on lambda_i-/2
+(a transcription: PAPER.md holds only the abstract).  Both are computed;
+the proof version is the bound everywhere.  The statement version, reported
+beside it, is no bound: on the pinched tensors tests/data/pinched_*.json
+||Z||^2 exceeds it by up to 2.6e-3, where the proof version holds.
 
 In the block form of Singer and Thorpe the biorthogonal values
 <(U+W)P, P> fill [K1perp, K3perp] and the eigen-direction variant
@@ -67,14 +68,13 @@ def ville_data(dec: CurvatureDecomposition, delta: float) -> VilleData:
     intact (that term contributes nothing to the left sides).  The image
     counts as zero below _ZERO_IMAGE max|R|, so the cut scales with the tensor.
     """
-    evals, evecs = np.linalg.eigh(dec.wplus)
-    v = dec.u + 0.5 * evals
+    v = dec.u + 0.5 * dec.wp_eigs
     z = np.zeros(3)
     lam = np.zeros(3)
     k_units = [None, None, None]
     cut = _ZERO_IMAGE * dec.max_abs
     for i in range(3):
-        image = dec.z_block.T @ evecs[:, i]
+        image = dec.z_block.T @ dec.wp_vecs[:, i]
         norm = float(np.linalg.norm(image))
         if norm > cut:
             k = image / norm
@@ -89,7 +89,7 @@ def ville_data(dec: CurvatureDecomposition, delta: float) -> VilleData:
             "with the pinching of this decomposition", RuntimeWarning)
     return VilleData(
         delta=delta,
-        h_basis=evecs,
+        h_basis=dec.wp_vecs,
         k_units=tuple(k_units),
         z=z,
         lambda_minus=lam,

@@ -173,6 +173,23 @@ def test_check_ville_on_pinched_samples(capsys):
 
 
 @pytest.mark.parametrize("suite", ["ville", "deg"])
+def test_sweeps_of_two_seeds_share_no_sample(monkeypatch, capsys, suite):
+    drawn = {}
+
+    def recorded(seed):
+        R = fc.pinched_sample(seed)
+        drawn[tuple(seed)] = R.components.tobytes()
+        return R
+
+    monkeypatch.setattr(cli, "pinched_sample", recorded)
+    for seed in ("0", "1"):
+        assert run_cli("check", suite, "--seed", seed, "--samples", "3") == 0
+    capsys.readouterr()
+    assert sorted(drawn) == [(s, i) for s in (0, 1) for i in range(3)]
+    assert len(set(drawn.values())) == 6
+
+
+@pytest.mark.parametrize("suite", ["ville", "deg"])
 def test_check_refuses_a_tensor_below_the_pinching_margin(tmp_path, capsys, suite):
     # k_min = -2.6e-7 at scale 1e-7, so the tensor is not pinched at its own
     # delta = 0; warnings are errors here, so a leaked negative A_i

@@ -2,6 +2,8 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fourcurv as fc
 
@@ -146,29 +148,55 @@ def test_pinched_sample_deterministic():
 
 def test_pinched_sample_meets_target(pinched_batch):
     for R, dec, rep in pinched_batch[:20]:
-        assert rep.k_max == pytest.approx(1.0, abs=1e-6)
-        assert rep.delta is not None and rep.delta >= 0.85 - 1e-9
+        assert rep.k_max == pytest.approx(1.0, abs=1e-14)
+        assert rep.delta == pytest.approx(0.85, abs=1e-14)
         assert fc.validate_symmetries(R).max_residual < 1e-12
 
 
 def test_pinched_sample_zero_scale_is_sphere():
-    R = fc.pinched_sample(seed=0, w_perturbation_scale=0.0)
+    R = fc.pinched_sample(seed=0, delta_target=1.0)
     assert np.array_equal(R.components, fc.model("S4").tensor.components)
 
 
 def test_pinched_sample_weyl_only():
-    R = fc.pinched_sample(seed=3, weyl_only=True,
-                          w_perturbation_scale=0.05, delta_target=0.7)
+    R = fc.pinched_sample(seed=3, weyl_only=True, delta_target=0.7)
     dec = fc.decompose(R)
     assert np.linalg.norm(dec.ric0) < 1e-12           # stays Einstein
     assert np.linalg.norm(dec.wminus) < 1e-12
     assert np.linalg.norm(dec.wplus) > 1e-4
 
 
-def test_pinched_sample_exhaustion():
-    with pytest.raises(fc.SamplingExhausted):
-        fc.pinched_sample(seed=0, delta_target=0.999,
-                          w_perturbation_scale=0.5, max_attempts=2)
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       delta=st.floats(0.0, 1.0, exclude_min=True), weyl_only=st.booleans())
+@example(seed=0, delta=fc.CRITICAL_DELTA, weyl_only=False)
+@example(seed=0, delta=fc.CRITICAL_DELTA, weyl_only=True)
+@example(seed=0, delta=1.0, weyl_only=False)
+@example(seed=0, delta=1.0, weyl_only=True)
+def test_pinched_sample_is_pinched_at_the_target(seed, delta, weyl_only):
+    R = fc.pinched_sample(seed, delta, weyl_only=weyl_only)
+    scan = fc.scan_extremes(R)
+    assert abs(scan.delta - delta) <= 1e-14
+    assert abs(scan.k_max - 1.0) <= 1e-14
+    if weyl_only:
+        dec = fc.decompose(R)
+        assert np.abs(dec.ric0).max() <= 1e-14       # Einstein
+        assert np.abs(dec.wminus).max() <= 1e-14
+
+
+def test_pinched_sample_scans_once(monkeypatch):
+    scanned = []
+
+    def counted(R):
+        scanned.append(R)
+        return fc.scan_extremes(R)
+
+    monkeypatch.setattr("fourcurv.models.scan_extremes", counted)
+    for seed in range(5):
+        for weyl_only in (False, True):
+            scanned.clear()
+            fc.pinched_sample(seed, weyl_only=weyl_only)
+            assert len(scanned) == 1
 
 
 def test_pinched_sample_target_validation():

@@ -55,6 +55,15 @@ def test_decomposition_cp2(model_decs):
     assert np.allclose(dec.z_block, 0, atol=1e-13)
 
 
+def test_weyl_eigenvectors_diagonalize_the_blocks(rng):
+    for _ in range(50):
+        dec = fc.decompose(fc.random_algebraic_tensor(rng))
+        for block, eigs, vecs in ((dec.wplus, dec.wp_eigs, dec.wp_vecs),
+                                  (dec.wminus, dec.wm_eigs, dec.wm_vecs)):
+            assert np.allclose(vecs.T @ vecs, np.eye(3), atol=1e-13)
+            assert np.allclose(vecs.T @ block @ vecs, np.diag(eigs), atol=1e-13)
+
+
 def test_operator_tensor_roundtrip(rng):
     for _ in range(1000):
         R = fc.random_algebraic_tensor(rng)

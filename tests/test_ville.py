@@ -16,7 +16,8 @@ def _handmade_dec():
         s=6.0, u=0.5, ric=1.5 * np.eye(4), ric0=np.zeros((4, 4)),
         wplus=wplus, wminus=wminus, z_block=0.05 * np.eye(3),
         wp_eigs=np.array([-0.1, 0.0, 0.1]),
-        wm_eigs=np.array([-0.2, 0.0, 0.2]), max_abs=0.7)
+        wm_eigs=np.array([-0.2, 0.0, 0.2]), wp_vecs=np.eye(3),
+        wm_vecs=np.eye(3), max_abs=0.7)
 
 
 def test_ville_data_s4(model_decs):
@@ -150,8 +151,10 @@ def test_znorm_bound_on_pinched_samples(pinched_batch):
         assert report.metrics["bound_other_version"] >= 0.0
 
 
-# tensors on which the theorem statement's A_i undercuts ||Z||^2: their
-# slacks (proof version, statement version) at the certified level
+# tensors on which the theorem statement's A_i undercuts ||Z||^2, with their
+# slacks (proof version, statement version) at the certified level; they
+# were drawn by the rejection sampler pinched_sample used to be, and are
+# named by the seeds it drew them from
 _STATEMENT_FAILURES = {
     420241532: (7.17e-3, -2.61e-3), 864350543: (3.51e-3, -9.15e-5),
     682472046: (4.67e-3, -5.94e-4), 126316679: (2.51e-3, -5.21e-4)}
