@@ -84,6 +84,7 @@ def _bounded(kind, holds, requirement: str):
 
 
 _positive_int = _bounded(int, lambda v: v >= 1, "must be at least 1")
+_seed = _bounded(int, lambda v: v >= 0, "must be at least 0")
 _tolerance = _bounded(float, lambda v: 0.0 <= v < np.inf,
                       "must be finite and at least 0")
 
@@ -98,7 +99,7 @@ def build_parser() -> _Parser:
         common.add_argument(f"--{name}", type=float, help=text)
     common.add_argument("--samples", type=_positive_int, default=100)
     common.add_argument("--tol", type=_tolerance, default=None)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_seed, default=0)
     common.add_argument("--lambda1", type=float, default=None,
                         help="first Laplace eigenvalue (verdict thm2)")
     common.add_argument("--output-format", choices=("text", "json"),

@@ -9,10 +9,6 @@ class CurvatureError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NonOrthonormalInput(CurvatureError):
-    """Vectors meant to be orthonormal are not, beyond tolerance."""
-
-
 class NonUnitInput(CurvatureError):
     """A form required to have unit norm does not."""
 
@@ -23,10 +19,6 @@ class WrongDuality(CurvatureError):
 
 class InvalidSymmetry(CurvatureError):
     """A curvature tensor violates one of its index symmetries."""
-
-
-class DegenerateForm(CurvatureError):
-    """A 2-form is too small to normalize or to adapt a frame to."""
 
 
 class PinchingNotVerified(CurvatureError):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonOrthonormalInput, NonUnitInput, WrongDuality
+from .errors import NonUnitInput, WrongDuality
 
 # index pairs (i<j) behind each basis slot
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -86,24 +86,6 @@ class Form2:
 
 
 @dataclass(frozen=True)
-class Frame4:
-    """Oriented orthonormal frame of R^4; columns are the frame vectors."""
-
-    columns: np.ndarray
-
-    def __post_init__(self):
-        cols = np.asarray(self.columns, dtype=float)
-        if cols.shape != (4, 4):
-            raise ValueError("Frame4 needs a 4x4 column matrix")
-        resid = np.abs(cols.T @ cols - np.eye(4)).max()
-        if resid > DEFAULT_TOL:
-            raise NonOrthonormalInput(f"frame orthonormality residual {resid:.3e}")
-        if np.linalg.det(cols) < 0:
-            raise NonOrthonormalInput("frame is negatively oriented")
-        object.__setattr__(self, "columns", cols)
-
-
-@dataclass(frozen=True)
 class Plane2:
     """A 2-plane: unit decomposable form plus its (H,K) coordinates."""
 
@@ -112,51 +94,15 @@ class Plane2:
     asd_unit: Form2
 
 
-def hodge_star(omega: Form2) -> Form2:
-    """Hodge star; a linear involution in the fixed basis."""
-    return Form2(STAR_MATRIX @ omega.coeffs)
-
-
 def sd_asd_split(omega: Form2) -> tuple[Form2, Form2]:
     """Split into (self-dual, anti-self-dual) parts; they sum back to omega."""
     star = STAR_MATRIX @ omega.coeffs
     return Form2(0.5 * (omega.coeffs + star)), Form2(0.5 * (omega.coeffs - star))
 
 
-def wedge(x, y) -> Form2:
-    """Coefficients of x^y for two 4-vectors."""
-    return Form2(_wedges(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
-
-
 def _wedges(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Wedge coefficients (..., 6) of paired rows of 4-vectors (..., 4)."""
     return x[..., _I] * y[..., _J] - x[..., _J] * y[..., _I]
-
-
-def form_matrix(omega: Form2) -> np.ndarray:
-    """The antisymmetric 4x4 matrix O with O[i,j] = coefficient on e_i^e_j."""
-    out = np.zeros((4, 4))
-    out[_I, _J] = omega.coeffs
-    out[_J, _I] = -omega.coeffs
-    return out
-
-
-def sd_form(h) -> Form2:
-    """Self-dual form with coordinates h in the (H1,H2,H3) basis."""
-    return Form2(SD_BASIS @ np.asarray(h, dtype=float))
-
-
-def asd_form(k) -> Form2:
-    """Anti-self-dual form with coordinates k in the (K1,K2,K3) basis."""
-    return Form2(ASD_BASIS @ np.asarray(k, dtype=float))
-
-
-def sd_coords(omega: Form2) -> np.ndarray:
-    return SD_BASIS.T @ omega.coeffs
-
-
-def asd_coords(omega: Form2) -> np.ndarray:
-    return ASD_BASIS.T @ omega.coeffs
 
 
 def plane_from_sd_asd(H: Form2, K: Form2) -> Plane2:
@@ -185,50 +131,9 @@ def _planes(H: np.ndarray, K: np.ndarray) -> list[Plane2]:
             for p, a, b in zip((h + k) / _S2, h, k)]
 
 
-def plane_from_vectors(x, y) -> Plane2:
-    """Plane spanned by an orthonormal pair (x, y)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    for name, v in (("x", x), ("y", y)):
-        n = np.linalg.norm(v)
-        if abs(n - 1.0) > DEFAULT_TOL:
-            raise NonOrthonormalInput(f"|{name}| = {n:.12g}, expected 1")
-    dot = float(x @ y)
-    if abs(dot) > DEFAULT_TOL:
-        raise NonOrthonormalInput(f"<x,y> = {dot:.3e}, expected 0")
-    p = wedge(x, y)
-    plus, minus = sd_asd_split(p)
-    # |plus| = |minus| = 1/sqrt(2) for a unit decomposable form
-    return plane_from_sd_asd(Form2(plus.coeffs / plus.norm),
-                             Form2(minus.coeffs / minus.norm))
-
-
-def complement(plane: Plane2) -> Plane2:
-    """The orthogonal complement plane, (H-K)/sqrt(2)."""
-    h = plane.sd_unit.coeffs
-    k = -plane.asd_unit.coeffs
-    return Plane2(Form2((h + k) / _S2), Form2(h.copy()), Form2(k))
-
-
-def plane_vectors(plane: Plane2) -> tuple[np.ndarray, np.ndarray]:
-    """An orthonormal spanning pair (x, y) with x^y equal to the plane form."""
-    O = form_matrix(plane.form)
-    j = int(np.argmax(np.linalg.norm(O, axis=0)))
-    v = O[:, j]
-    x = O @ (v / np.linalg.norm(v))
-    x /= np.linalg.norm(x)
-    y = -O @ x  # 90-degree rotation of x inside the plane
-    return x, y
-
-
 def random_frames(rng: np.random.Generator, n: int) -> np.ndarray:
     """n oriented orthonormal frames, stacked (n, 4, 4), columns = vectors."""
     q, r = np.linalg.qr(rng.normal(size=(n, 4, 4)))
     q = q * np.sign(np.einsum("nii->ni", r))[:, None, :]
     q[np.linalg.det(q) < 0, :, 0] *= -1.0
     return q
-
-
-def random_frame(rng: np.random.Generator) -> Frame4:
-    """Haar-ish random oriented orthonormal frame."""
-    return Frame4(random_frames(rng, 1)[0])

@@ -72,7 +72,7 @@ import numpy as np
 
 from .errors import InconsistentInputs
 from .forms import (ASD_BASIS, BLOCK_BASIS, SD_BASIS, Plane2, _planes,
-                    _wedges, complement, random_frames)
+                    _wedges, random_frames)
 from .reporting import CheckReport
 from .tensor import (SYMMETRY_TOL, CurvatureDecomposition, RiemannTensor,
                      _block_frame, _blocks, decompose, operator_from_tensor)
@@ -123,14 +123,6 @@ def sectional(R: RiemannTensor, plane: Plane2) -> float:
     return float(p @ m @ p)
 
 
-def biorthogonal(R: RiemannTensor, plane: Plane2) -> float:
-    """Kperp(P) = (K(P) + K(P_perp))/2."""
-    m = operator_from_tensor(R).matrix
-    p = plane.form.coeffs
-    q = complement(plane).form.coeffs
-    return float(0.5 * (p @ m @ p + q @ m @ q))
-
-
 def k1perp_closed_form(dec: CurvatureDecomposition) -> float:
     return float((dec.wp_eigs[0] + dec.wm_eigs[0]) / 2.0 + dec.s / 12.0)
 
@@ -162,10 +154,6 @@ def _plane_values(mp: np.ndarray, hs: np.ndarray,
 def batch_sectional(R: RiemannTensor, hs: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Sectional values for paired rows of unit SD/ASD coordinates."""
     return _plane_values(_block_frame(R), hs, ks)[0]
-
-
-def batch_biorthogonal(R: RiemannTensor, hs: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    return _plane_values(_block_frame(R), hs, ks)[1]
 
 
 def _lowest(w: np.ndarray, v: np.ndarray, tol: float) -> tuple[float, np.ndarray, float, float]:

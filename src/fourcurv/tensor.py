@@ -139,11 +139,6 @@ def _block_frame(R: RiemannTensor) -> np.ndarray:
     return BLOCK_BASIS.T @ operator_from_tensor(R).matrix @ BLOCK_BASIS
 
 
-def tensor_from_operator(op: CurvatureOperator) -> RiemannTensor:
-    """Inverse of operator_from_tensor (components filled by antisymmetry)."""
-    return RiemannTensor(_tensor_from_matrix(np.asarray(op.matrix, dtype=float)))
-
-
 def _tensor_from_matrix(m: np.ndarray) -> np.ndarray:
     c = np.zeros((4, 4, 4, 4))
     i, j, k, l = _I[:, None], _J[:, None], _I, _J

@@ -14,7 +14,9 @@ two are NOT collapsed; see dense_grid_min_over_E.
 
 The second theorem is a discriminant computation: the harmonic-form
 quadratic P(t) is nonnegative in both regimes precisely when the lowest
-biorthogonal curvature clears s^2 / (24 (3 lambda_1 + s)).
+biorthogonal curvature clears s^2 / (24 (3 lambda_1 + s)).  The verdict
+tests that threshold; the transcription of P(t) and its discriminant is
+a test oracle in tests/proof_routes.py.
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ from .errors import NonPositiveInput, NonPositiveScalarCurvature
 from .invariants import fg_value
 from .scan import PinchingReport, _require_same_tensor
 from .tensor import CurvatureDecomposition
-from .ville import ville_data
 
 CRITICAL_DELTA = (3.0 * np.sqrt(3.0) - 5.0) / 4.0
 
@@ -76,13 +77,6 @@ def corner_values(delta: float) -> CornerValues:
         at_d11=(-delta ** 2 + 20.0 * delta + 8.0) / 9.0,
         at_111=3.0,
     )
-
-
-def hessian_inner_eigs() -> tuple[float, float, float]:
-    """Eigenvalues of [[-2,1,1],[1,-2,1],[1,1,-2]], ascending: (-3,-3,0)."""
-    m = np.array([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]])
-    e = np.linalg.eigvalsh(m)
-    return float(e[0]), float(e[1]), float(e[2])
 
 
 def min_over_E(delta: float) -> tuple[float, tuple[float, float, float]]:
@@ -169,8 +163,8 @@ def theorem1_verdict(dec: CurvatureDecomposition, scan: PinchingReport,
         notes.append("neither Weyl half vanishes to tolerance")
     if hold:
         delta = float(min(max(scan.k_min_lower, CRITICAL_DELTA), 1.0))
-        vd = ville_data(work, delta)
-        fval = f_eval(vd.v[0], vd.v[1], vd.v[2], delta)
+        v = work.u + 0.5 * work.wp_eigs  # v_i = u + w_i+/2, as in ville_data
+        fval = f_eval(v[0], v[1], v[2], delta)
         half_fg = 0.5 * fg_value(work)
         notes.append(f"pointwise chain at delta={delta:.6g}: "
                      f"fg/2 = {half_fg:.6g} >= f(v) = {fval:.6g} >= 0")
@@ -194,29 +188,6 @@ def theorem2_threshold(s: float, lambda1: float) -> float:
             f"lambda1={lambda1}")
     # in this order no intermediate overflows where the threshold does not
     return (s / 24.0) * (s / (3.0 * lambda1 + s))
-
-
-def discriminant(lambda1, s, k1perp, a, b):
-    """(4/9) a b (-72 lambda_1 K - 24 K s + s^2); a, b are |omega+-|."""
-    return (4.0 / 9.0) * a * b * (-72.0 * lambda1 * k1perp
-                                  + s ** 2 - 24.0 * k1perp * s)
-
-
-def p_quadratic(t, regime: str, lambda1, s, k1perp, a, b):
-    """The regime quadratic in t for the harmonic-form length estimate.
-
-    Regime A assumes a >= t^2 b at the point, regime B the reverse; the
-    caller asserts which applies.  The two agree at the boundary.  Both
-    carry lambda_1 on the linear term.
-    """
-    c_plus = lambda1 + 4.0 * k1perp + (s - 12.0 * k1perp) / 3.0
-    c_minus = lambda1 + 4.0 * k1perp - (s - 12.0 * k1perp) / 3.0
-    cross = -2.0 * lambda1 * np.sqrt(a * b)
-    if regime.upper() == "A":
-        return c_minus * a + cross * t + c_plus * b * t ** 2
-    if regime.upper() == "B":
-        return c_plus * a + cross * t + c_minus * b * t ** 2
-    raise ValueError(f"regime must be 'A' or 'B', got {regime!r}")
 
 
 def theorem2_verdict(dec: CurvatureDecomposition, scan: PinchingReport,

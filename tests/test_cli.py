@@ -10,6 +10,7 @@ import pytest
 
 import fourcurv as fc
 from fourcurv import cli
+import proof_routes as routes
 
 
 def run_cli(*argv):
@@ -250,7 +251,7 @@ def lemma1_per_form(R, n_forms, seed):
     slacks = []
     for _ in range(n_forms):
         coeffs = rng.normal(size=6)
-        lhs, rhs = fc.lemma1_check(R, fc.Form2(coeffs / np.linalg.norm(coeffs)))
+        lhs, rhs = routes.lemma1_check(R, fc.Form2(coeffs / np.linalg.norm(coeffs)))
         slacks.append(lhs - rhs)
     return min(slacks)
 
@@ -278,7 +279,7 @@ def test_lemma1_tolerance_is_relative_to_the_tensor(tmp_path, capsys):
     # tol * max|R|, not against tol
     for name, params, frame_seed, negative in (("S4", {"r": 1.6e-5}, 7, False),
                                                ("CP2", {"c": 1e9}, 6, True)):
-        frame = fc.random_frame(np.random.default_rng(frame_seed)).columns
+        frame = routes.random_frame(np.random.default_rng(frame_seed)).columns
         R = fc.rotate_tensor(fc.model(name, **params).tensor, frame)
         path = str(tmp_path / f"{name}.json")
         fc.save_tensor(R, path)
@@ -318,6 +319,14 @@ def test_non_positive_samples_rejected(capsys, argv):
     assert run_cli(*argv) == 1
     captured = capsys.readouterr()
     assert "--samples" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("suite", ["ville", "seaman"])
+def test_negative_seed_rejected(capsys, suite):
+    assert run_cli("check", suite, "--seed", "-1", "--samples", "2") == 1
+    captured = capsys.readouterr()
+    assert "--seed" in captured.err and "-1" in captured.err
     assert captured.out == ""
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import fourcurv as fc
 from fourcurv import CheckReport
+import proof_routes as routes
 
 
 def test_from_slack_scalar():
@@ -72,7 +73,7 @@ def _library_reports():
     R = fc.random_algebraic_tensor(3, scale=2.0)
     yield fc.seaman_check(R, n_frames=20)
     yield fc.lemma1_suite(3, 5)
-    yield fc.intermediate_identity_check(R, fc.Form2(np.arange(1.0, 7.0)))
+    yield routes.intermediate_identity_check(R, fc.Form2(np.arange(1.0, 7.0)))
     yield fc.k3_bound_check(fc.decompose(R))
     P = fc.pinched_sample(0)
     dec, scan = fc.decompose(P), fc.scan_extremes(P)

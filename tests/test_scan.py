@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fourcurv as fc
+import proof_routes as routes
 
 
 def test_model_extremes(model_scans):
@@ -49,18 +50,18 @@ def test_attaining_planes_reproduce_values(rng):
     scan = fc.scan_extremes(R)
     assert abs(fc.sectional(R, scan.argmin_plane) - scan.k_min) < 1e-12
     assert abs(fc.sectional(R, scan.argmax_plane) - scan.k_max) < 1e-12
-    assert abs(fc.biorthogonal(R, scan.k1perp_plane) - scan.k1perp) < 1e-12
-    assert abs(fc.biorthogonal(R, scan.k3perp_plane) - scan.k3perp) < 1e-12
+    assert abs(routes.biorthogonal(R, scan.k1perp_plane) - scan.k1perp) < 1e-12
+    assert abs(routes.biorthogonal(R, scan.k3perp_plane) - scan.k3perp) < 1e-12
 
 
 def test_biorthogonal_symmetric_under_complement(rng):
     R = fc.random_algebraic_tensor(rng)
     for _ in range(50):
         h, k = rng.normal(size=(2, 3))
-        p = fc.plane_from_sd_asd(fc.sd_form(h / np.linalg.norm(h)),
-                                 fc.asd_form(k / np.linalg.norm(k)))
-        assert abs(fc.biorthogonal(R, p)
-                   - fc.biorthogonal(R, fc.complement(p))) < 1e-12
+        p = fc.plane_from_sd_asd(routes.sd_form(h / np.linalg.norm(h)),
+                                 routes.asd_form(k / np.linalg.norm(k)))
+        assert abs(routes.biorthogonal(R, p)
+                   - routes.biorthogonal(R, routes.complement(p))) < 1e-12
 
 
 def test_biorthogonal_between_closed_form_bounds(rng):
@@ -74,11 +75,11 @@ def test_biorthogonal_between_closed_form_bounds(rng):
         hs /= np.linalg.norm(hs, axis=1, keepdims=True)
         ks = rng.normal(size=(10_000, 3))
         ks /= np.linalg.norm(ks, axis=1, keepdims=True)
-        vals = fc.batch_biorthogonal(R, hs, ks)
+        vals = routes.batch_biorthogonal(R, hs, ks)
         assert vals.min() >= lo - 1e-9
         assert vals.max() <= hi + 1e-9
-        p = fc.plane_from_sd_asd(fc.sd_form(hs[0]), fc.asd_form(ks[0]))
-        assert abs(fc.biorthogonal(R, p) - vals[0]) < 1e-12
+        p = fc.plane_from_sd_asd(routes.sd_form(hs[0]), routes.asd_form(ks[0]))
+        assert abs(routes.biorthogonal(R, p) - vals[0]) < 1e-12
         assert abs(fc.sectional(R, p) - fc.batch_sectional(R, hs, ks)[0]) < 1e-12
 
 
@@ -87,19 +88,19 @@ def test_sectional_within_scan_range(rng):
         R = fc.random_algebraic_tensor(rng)
         scan = fc.scan_extremes(R)
         for f in fc.random_frames(rng, 20):
-            p = fc.plane_from_vectors(f[:, 0], f[:, 1])
+            p = routes.plane_from_vectors(f[:, 0], f[:, 1])
             val = fc.sectional(R, p)
             assert scan.k_min - 1e-9 <= val <= scan.k_max + 1e-9
 
 
 def test_sectional_and_biorthogonal_examples(models):
     prod = models["S2xS2"].tensor
-    intra = fc.plane_from_vectors([1, 0, 0, 0], [0, 1, 0, 0])
-    mixed = fc.plane_from_vectors([1, 0, 0, 0], [0, 0, 1, 0])
+    intra = routes.plane_from_vectors([1, 0, 0, 0], [0, 1, 0, 0])
+    mixed = routes.plane_from_vectors([1, 0, 0, 0], [0, 0, 1, 0])
     assert fc.sectional(prod, intra) == pytest.approx(1.0, abs=1e-12)
     assert fc.sectional(prod, mixed) == pytest.approx(0.0, abs=1e-12)
-    assert fc.biorthogonal(prod, intra) == pytest.approx(1.0, abs=1e-12)
-    assert fc.biorthogonal(prod, mixed) == pytest.approx(0.0, abs=1e-12)
+    assert routes.biorthogonal(prod, intra) == pytest.approx(1.0, abs=1e-12)
+    assert routes.biorthogonal(prod, mixed) == pytest.approx(0.0, abs=1e-12)
     s4 = models["S4"].tensor
     assert fc.sectional(s4, mixed) == pytest.approx(1.0, abs=1e-12)
     flat = models["FlatT4"].tensor
@@ -126,7 +127,7 @@ def test_scan_linearity(rng):
 def test_rotation_invariance_of_scan(rng):
     R = fc.random_algebraic_tensor(rng)
     a = fc.scan_extremes(R)
-    rotated = fc.rotate_tensor(R, fc.random_frame(rng).columns)
+    rotated = fc.rotate_tensor(R, routes.random_frame(rng).columns)
     b = fc.scan_extremes(rotated)
     norm = np.linalg.norm(fc.operator_from_tensor(R).matrix)
     for field in ("k_min", "k_max", "k1perp", "k3perp",
@@ -145,7 +146,7 @@ def _rotated_models(rng, n):
     for name in fc.model_names():
         R = fc.model(name).tensor
         out.append(R)
-        out += [fc.rotate_tensor(R, fc.random_frame(rng).columns) for _ in range(n)]
+        out += [fc.rotate_tensor(R, routes.random_frame(rng).columns) for _ in range(n)]
     return out
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fourcurv as fc
+import proof_routes as routes
 
 
 def test_s4_operator_is_identity(models):
@@ -67,7 +68,7 @@ def test_weyl_eigenvectors_diagonalize_the_blocks(rng):
 def test_operator_tensor_roundtrip(rng):
     for _ in range(1000):
         R = fc.random_algebraic_tensor(rng)
-        back = fc.tensor_from_operator(fc.operator_from_tensor(R))
+        back = routes.tensor_from_operator(fc.operator_from_tensor(R))
         assert np.allclose(back.components, R.components, atol=1e-12)
 
 
@@ -104,7 +105,7 @@ def test_symmetry_tolerance_scales_with_the_tensor(rng):
     # a rotated tensor of size 1e9 carries rounding residuals near 1e-6,
     # which is 1e-15 relative: valid
     R = fc.random_algebraic_tensor(0, scale=1e9)
-    rotated = fc.rotate_tensor(R, fc.random_frame(rng).columns)
+    rotated = fc.rotate_tensor(R, routes.random_frame(rng).columns)
     report = fc.validate_symmetries(rotated)
     assert report.tol == fc.tensor.SYMMETRY_TOL * np.abs(rotated.components).max()
     assert report.valid
@@ -129,7 +130,7 @@ def test_symmetry_residuals_match_the_transpose_formulas(rng):
     for i in range(300):
         c = fc.random_algebraic_tensor(rng, scale=10.0 ** rng.uniform(-3, 3)).components
         if i % 3 == 1:
-            c = fc.rotate_tensor(fc.RiemannTensor(c), fc.random_frame(rng).columns).components
+            c = fc.rotate_tensor(fc.RiemannTensor(c), routes.random_frame(rng).columns).components
         if i % 2:
             c = c + rng.normal(size=c.shape) * 10.0 ** rng.uniform(-14, -1) * np.abs(c).max()
         report = fc.validate_symmetries(fc.RiemannTensor(c))
@@ -172,7 +173,7 @@ def test_rotation_invariance_of_spectra(rng):
     R = fc.random_algebraic_tensor(rng)
     dec = fc.decompose(R)
     for _ in range(20):
-        frame = fc.random_frame(rng)
+        frame = routes.random_frame(rng)
         rotated = fc.rotate_tensor(R, frame.columns)
         dec2 = fc.decompose(rotated)
         assert abs(dec2.s - dec.s) < 1e-10
@@ -226,7 +227,7 @@ def test_max_abs_is_max_of_the_components(rng):
     # samples
     tensors = [fc.random_algebraic_tensor(rng, scale=scale)
                for scale in (1e-200, 1e-3, 1.0, 1e3, 1e200)]
-    tensors += [fc.rotate_tensor(fc.model(name).tensor, fc.random_frame(rng).columns)
+    tensors += [fc.rotate_tensor(fc.model(name).tensor, routes.random_frame(rng).columns)
                 for name in fc.model_names()]
     tensors += [fc.pinched_sample(seed, weyl_only=seed % 2 == 1) for seed in range(4)]
     for R in tensors:

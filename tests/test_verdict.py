@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fourcurv as fc
+import proof_routes as routes
 
 
 def test_f_examples():
@@ -32,7 +33,7 @@ def test_corner_closed_forms_match_f(rng):
 
 
 def test_hessian_spectrum():
-    eigs = fc.hessian_inner_eigs()
+    eigs = routes.hessian_inner_eigs()
     assert np.allclose(eigs, (-3.0, -3.0, 0.0), atol=1e-12)
     m = np.array([[-2, 1, 1], [1, -2, 1], [1, 1, -2]])
     assert np.allclose(m.sum(axis=1), 0, atol=0)     # (1,1,1) in kernel
@@ -137,10 +138,10 @@ def test_threshold_examples():
 
 
 def test_discriminant_examples():
-    assert fc.discriminant(4, 12, 1, 1, 1) == pytest.approx(-192.0, abs=1e-12)
-    assert fc.discriminant(4, 12, 1, 0, 1) == 0.0
+    assert routes.discriminant(4, 12, 1, 1, 1) == pytest.approx(-192.0, abs=1e-12)
+    assert routes.discriminant(4, 12, 1, 0, 1) == 0.0
     k_star = fc.theorem2_threshold(12, 4)
-    assert fc.discriminant(4, 12, k_star, 0.7, 1.3) == pytest.approx(
+    assert routes.discriminant(4, 12, k_star, 0.7, 1.3) == pytest.approx(
         0.0, abs=1e-12)
 
 
@@ -148,7 +149,7 @@ def test_discriminant_threshold_equivalence(rng):
     lam = rng.uniform(0.1, 10, size=500)
     s = rng.uniform(0.1, 30, size=500)
     k = rng.uniform(0.0, 2.0, size=500)
-    disc = fc.discriminant(lam, s, k, 1.0, 1.0)
+    disc = routes.discriminant(lam, s, k, 1.0, 1.0)
     thr = s ** 2 / (24 * (3 * lam + s))
     assert np.array_equal(disc <= 0, k >= thr)
 
@@ -156,7 +157,7 @@ def test_discriminant_threshold_equivalence(rng):
 def test_p_quadratic_constant_term():
     lam, s, k, a, b = 3.0, 10.0, 0.5, 2.0, 0.7
     c_minus = lam + 4 * k - (s - 12 * k) / 3
-    assert fc.p_quadratic(0.0, "A", lam, s, k, a, b) == pytest.approx(
+    assert routes.p_quadratic(0.0, "A", lam, s, k, a, b) == pytest.approx(
         c_minus * a, abs=1e-12)
 
 
@@ -167,9 +168,9 @@ def test_p_quadratic_s4_identity(rng):
         a, b = rng.uniform(0.1, 3, size=2)
         t = rng.uniform(-5, 5)
         expected = 4 * (np.sqrt(a) - t * np.sqrt(b)) ** 2 + 4 * (a + t * t * b)
-        assert fc.p_quadratic(t, "A", 4, 12, 1, a, b) == pytest.approx(
+        assert routes.p_quadratic(t, "A", 4, 12, 1, a, b) == pytest.approx(
             expected, rel=1e-12)
-        assert fc.p_quadratic(t, "B", 4, 12, 1, a, b) == pytest.approx(
+        assert routes.p_quadratic(t, "B", 4, 12, 1, a, b) == pytest.approx(
             expected, rel=1e-12)
 
 
@@ -181,19 +182,19 @@ def test_p_quadratic_discriminant_consistency(rng):
             s = rng.uniform(0.5, 25)
             k = rng.uniform(0.0, 1.5)
             a, b = rng.uniform(0.1, 3, size=2)
-            p0 = fc.p_quadratic(0.0, regime, lam, s, k, a, b)
-            p1 = fc.p_quadratic(1.0, regime, lam, s, k, a, b)
-            pm1 = fc.p_quadratic(-1.0, regime, lam, s, k, a, b)
+            p0 = routes.p_quadratic(0.0, regime, lam, s, k, a, b)
+            p1 = routes.p_quadratic(1.0, regime, lam, s, k, a, b)
+            pm1 = routes.p_quadratic(-1.0, regime, lam, s, k, a, b)
             lead = 0.5 * (p1 + pm1) - p0
             lin = 0.5 * (p1 - pm1)
             disc = lin ** 2 - 4 * lead * p0
-            target = fc.discriminant(lam, s, k, a, b)
+            target = routes.discriminant(lam, s, k, a, b)
             assert disc == pytest.approx(target, rel=1e-9, abs=1e-9)
 
 
 def test_p_quadratic_regime_validation():
     with pytest.raises(ValueError):
-        fc.p_quadratic(0.0, "C", 1, 1, 1, 1, 1)
+        routes.p_quadratic(0.0, "C", 1, 1, 1, 1, 1)
 
 
 def test_p_nonnegative_at_threshold(rng):
@@ -207,7 +208,7 @@ def test_p_nonnegative_at_threshold(rng):
         a, b = rng.uniform(0.1, 3, size=2)
         t = np.linspace(-10, 10, 81)
         for regime in ("A", "B"):
-            vals = fc.p_quadratic(t, regime, lam, s, k, a, b)
+            vals = routes.p_quadratic(t, regime, lam, s, k, a, b)
             assert vals.min() >= -1e-9
 
 

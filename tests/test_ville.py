@@ -6,6 +6,7 @@ import pytest
 
 import fourcurv as fc
 from fourcurv.tensor import CurvatureDecomposition
+import proof_routes as routes
 
 
 def _handmade_dec():
@@ -111,15 +112,15 @@ def test_operator_bound_is_the_exact_range(pinched_batch):
         assert m["max_value"] == fc.k3perp_closed_form(dec)
         hs, ks = (x / np.linalg.norm(x, axis=1, keepdims=True)
                   for x in rng.normal(size=(2, 2000, 3)))
-        vals = fc.batch_biorthogonal(R, hs, ks)
+        vals = routes.batch_biorthogonal(R, hs, ks)
         assert m["min_value"] - 1e-12 <= vals.min()
         assert vals.max() <= m["max_value"] + 1e-12
         eig = dec.u + 0.5 * np.einsum("ni,ij,nj->n", hs, dec.wplus, hs)
         assert m["min_eigen_value"] - 1e-12 <= eig.min()
         assert eig.max() <= m["max_eigen_value"] + 1e-12
-        assert fc.biorthogonal(R, scan.k1perp_plane) == pytest.approx(
+        assert routes.biorthogonal(R, scan.k1perp_plane) == pytest.approx(
             m["min_value"], abs=1e-12)
-        assert fc.biorthogonal(R, scan.k3perp_plane) == pytest.approx(
+        assert routes.biorthogonal(R, scan.k3perp_plane) == pytest.approx(
             m["max_value"], abs=1e-12)
 
 

@@ -3,6 +3,7 @@ import pytest
 
 import fourcurv as fc
 from fourcurv.forms import PAIRS
+import proof_routes as routes
 
 
 def bilinear_weitzenbock(R):
@@ -78,13 +79,13 @@ def test_lemma1_equality_on_s4(models, rng):
     for _ in range(20):
         coeffs = rng.normal(size=6)
         omega = fc.Form2(coeffs / np.linalg.norm(coeffs))
-        lhs, rhs = fc.lemma1_check(R, omega)
+        lhs, rhs = routes.lemma1_check(R, omega)
         assert lhs == pytest.approx(4.0, abs=1e-12)
         assert rhs == pytest.approx(4.0, abs=1e-12)
 
 
 def test_lemma1_zero_form(models):
-    lhs, rhs = fc.lemma1_check(models["S2xS2"].tensor, fc.Form2(np.zeros(6)))
+    lhs, rhs = routes.lemma1_check(models["S2xS2"].tensor, fc.Form2(np.zeros(6)))
     assert lhs == 0.0 and rhs == 0.0
 
 
@@ -115,7 +116,7 @@ def test_lemma1_sides_match_the_wedge_basis_route(rng):
         R = fc.random_algebraic_tensor(rng, scale=10.0 ** rng.uniform(-3, 3))
         omegas = rng.normal(size=(20, 6))
         tol = 1e-12 * np.abs(R.components).max()
-        for got, want in zip(fc.lemma1_sides(R, omegas), lemma1_sides_from_blocks(R, omegas)):
+        for got, want in zip(routes.lemma1_sides(R, omegas), lemma1_sides_from_blocks(R, omegas)):
             assert np.abs(got - want).max() <= tol * np.abs(omegas).max() ** 2
 
 
@@ -162,7 +163,7 @@ def test_lemma1_bound_check_is_the_minimum_over_all_forms(rng, pinched_batch):
     # along the top eigenvectors attain its three slacks
     tensors = [fc.random_algebraic_tensor(rng, scale=10.0 ** rng.uniform(-3, 3))
                for _ in range(60)]
-    tensors += [fc.rotate_tensor(fc.model(name, **params).tensor, fc.random_frame(rng).columns)
+    tensors += [fc.rotate_tensor(fc.model(name, **params).tensor, routes.random_frame(rng).columns)
                 for name, params in (("S4", {"r": 0.3}), ("CP2", {"c": 40.0}),
                                      ("S2xS2", {"a": 2.0, "b": 0.5}), ("FlatT4", {}))]
     tensors += [R for R, _, _ in pinched_batch[:20]]
@@ -174,11 +175,11 @@ def test_lemma1_bound_check_is_the_minimum_over_all_forms(rng, pinched_batch):
         assert report.passed and report.n_samples == 3
         assert abs(report.min_slack - slacks.min()) <= 1e-14 * dec.max_abs
         omegas = rng.normal(size=(2000, 6))
-        lhs, rhs = fc.lemma1_sides(R, omegas / np.linalg.norm(omegas, axis=1, keepdims=True))
+        lhs, rhs = routes.lemma1_sides(R, omegas / np.linalg.norm(omegas, axis=1, keepdims=True))
         assert (lhs - rhs).min() >= report.min_slack - 1e-12 * dec.max_abs
         tops = [np.linalg.eigh(w)[1][:, 2] for w in (dec.wplus, dec.wminus)]
         forms = np.hstack([np.sqrt(a) * tops[0], np.sqrt(1.0 - a) * tops[1]]) @ fc.BLOCK_BASIS.T
-        lhs, rhs = fc.lemma1_sides(R, forms)
+        lhs, rhs = routes.lemma1_sides(R, forms)
         assert np.abs(lhs - rhs - slacks).max() <= 1e-13 * dec.max_abs
 
 
@@ -191,44 +192,44 @@ def test_lemma1_bound_check_equality_on_models(model_decs):
 def test_adapted_frame_reconstruction(rng):
     for _ in range(100):
         omega = fc.Form2(rng.normal(size=6))
-        frame = fc.adapted_frame(omega)
+        frame = routes.adapted_frame(omega)
         cols = frame.columns
         plus, minus = fc.sd_asd_split(omega)
         ap, am = plus.norm, minus.norm
-        recon = (np.sqrt(0.5) * (ap + am) * fc.wedge(cols[:, 0], cols[:, 1]).coeffs
-                 + np.sqrt(0.5) * (ap - am) * fc.wedge(cols[:, 2], cols[:, 3]).coeffs)
+        recon = (np.sqrt(0.5) * (ap + am) * routes.wedge(cols[:, 0], cols[:, 1]).coeffs
+                 + np.sqrt(0.5) * (ap - am) * routes.wedge(cols[:, 2], cols[:, 3]).coeffs)
         assert np.allclose(recon, omega.coeffs, atol=1e-9)
 
 
 def test_adapted_frame_pure_duality(rng):
     h = rng.normal(size=3)
-    sd_only = fc.sd_form(h)
-    frame = fc.adapted_frame(sd_only)  # ASD part completed arbitrarily
+    sd_only = routes.sd_form(h)
+    frame = routes.adapted_frame(sd_only)  # ASD part completed arbitrarily
     plus, _ = fc.sd_asd_split(sd_only)
     cols = frame.columns
     recon = np.sqrt(0.5) * plus.norm * (
-        fc.wedge(cols[:, 0], cols[:, 1]).coeffs
-        + fc.wedge(cols[:, 2], cols[:, 3]).coeffs)
+        routes.wedge(cols[:, 0], cols[:, 1]).coeffs
+        + routes.wedge(cols[:, 2], cols[:, 3]).coeffs)
     assert np.allclose(recon, sd_only.coeffs, atol=1e-9)
 
 
 def test_adapted_frame_degenerate():
-    with pytest.raises(fc.DegenerateForm):
-        fc.adapted_frame(fc.Form2(np.zeros(6)))
+    with pytest.raises(routes.DegenerateForm):
+        routes.adapted_frame(fc.Form2(np.zeros(6)))
 
 
 def test_intermediate_identity_random(rng):
     for _ in range(100):
         R = fc.random_algebraic_tensor(rng)
         omega = fc.Form2(rng.normal(size=6))
-        report = fc.intermediate_identity_check(R, omega)
+        report = routes.intermediate_identity_check(R, omega)
         assert report.passed, report.metrics
 
 
 def test_intermediate_identity_s2s2_mixed_form(models):
     # omega = e1^e2 on the product: both sides vanish
     omega = fc.Form2([1, 0, 0, 0, 0, 0])
-    report = fc.intermediate_identity_check(models["S2xS2"].tensor, omega)
+    report = routes.intermediate_identity_check(models["S2xS2"].tensor, omega)
     assert report.passed
     assert abs(report.metrics["lhs"]) < 1e-12
     assert abs(report.metrics["rhs"]) < 1e-12
@@ -236,7 +237,7 @@ def test_intermediate_identity_s2s2_mixed_form(models):
 
 def test_intermediate_identity_s4_self_dual(models):
     omega = fc.Form2(fc.SD_BASIS[:, 1])
-    report = fc.intermediate_identity_check(models["S4"].tensor, omega)
+    report = routes.intermediate_identity_check(models["S4"].tensor, omega)
     assert report.passed
     assert report.metrics["lhs"] == pytest.approx(4.0, abs=1e-12)
     assert report.metrics["rhs"] == pytest.approx(4.0, abs=1e-12)
@@ -261,6 +262,6 @@ def test_k3_bound_tolerance_scales_with_the_tensor():
     # rounding noise of size eps max|R|, far above an absolute 1e-12
     for R in (fc.model("S4", r=1.6e-5).tensor, fc.model("S2xS2", a=1e-6).tensor):
         for seed in range(400):
-            frame = fc.random_frame(np.random.default_rng(seed)).columns
+            frame = routes.random_frame(np.random.default_rng(seed)).columns
             report = fc.k3_bound_check(fc.decompose(fc.rotate_tensor(R, frame)))
             assert report.passed, (seed, report.min_slack)
