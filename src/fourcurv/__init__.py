@@ -15,13 +15,12 @@ quadratic and its discriminant) are test oracles in tests/proof_routes.py.
 """
 from .errors import (CurvatureError, InconsistentInputs, InvalidSymmetry,
                      NonPositiveInput, NonPositiveParam,
-                     NonPositiveScalarCurvature, NonUnitInput, NotHomogeneous,
+                     NonPositiveScalarCurvature, NonUnitInput,
                      PinchingNotVerified, UnknownModel, WrongDuality)
 from .forms import (ASD_BASIS, BLOCK_BASIS, SD_BASIS, STAR_MATRIX, Form2,
                     Plane2, plane_from_sd_asd, random_frames, sd_asd_split)
-from .invariants import (IntegrandValues, fg_value, gbc_integrand,
-                         homogeneous_invariants, integrand_values,
-                         signature_integrand)
+from .invariants import (IntegrandValues, homogeneous_invariants,
+                         integrand_values)
 from .models import ModelSpace, model, model_names, pinched_sample
 from .reporting import CheckReport
 from .scan import (SCAN_ACCURACY, PinchingReport, batch_sectional,

@@ -44,7 +44,3 @@ class UnknownModel(CurvatureError):
 class NonPositiveParam(CurvatureError):
     """A model scale parameter must be positive and finite, and so must the
     volume, lambda1 and curvature it gives the model."""
-
-
-class NotHomogeneous(CurvatureError):
-    """Characteristic numbers are only evaluated on homogeneous models."""

@@ -80,10 +80,6 @@ class Form2:
             raise ValueError(f"Form2 needs 6 coefficients, got shape {c.shape}")
         object.__setattr__(self, "coeffs", c)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
 
 @dataclass(frozen=True)
 class Plane2:

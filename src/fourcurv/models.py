@@ -38,7 +38,6 @@ class ModelSpace:
     lambda1: float | None
     expected_chi: int
     expected_tau: int
-    homogeneous: bool = True
 
     def checked_volume(self) -> float:
         """The volume; NonPositiveParam where it is not a positive finite float."""

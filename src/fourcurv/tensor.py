@@ -23,10 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSymmetry
+from .errors import CurvatureError, InvalidSymmetry
 from .forms import BLOCK_BASIS, STAR_MATRIX, _I, _J
 
 SYMMETRY_TOL = 1e-9
+# no entry of a block (s included) sums more than 16 components, so up to
+# this max|R_ijkl| none overflows, with a factor 2 to spare for rounding
+_OVERFLOW_FREE = np.finfo(float).max / 32.0
 
 
 @dataclass(frozen=True)
@@ -154,20 +157,28 @@ def ricci(R: RiemannTensor) -> np.ndarray:
 
 
 def decompose(R: RiemannTensor) -> CurvatureDecomposition:
+    """The blocks of R; CurvatureError where one leaves the float range,
+    which only a tensor with max|R| above _OVERFLOW_FREE can make happen."""
     max_abs = _require_valid(R)
-    mp = _block_frame(R)
-    ric = ricci(R)
-    s = float(np.trace(ric))
-    u = s / 12.0
-    wplus = mp[:3, :3] - u * np.eye(3)
-    wminus = mp[3:, 3:] - u * np.eye(3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mp = _block_frame(R)
+        ric = ricci(R)
+        s = float(np.trace(ric))
+        u = s / 12.0
+        ric0 = ric - (s / 4.0) * np.eye(4)
+        wplus = mp[:3, :3] - u * np.eye(3)
+        wminus = mp[3:, 3:] - u * np.eye(3)
     z_block = mp[:3, 3:]
+    if max_abs > _OVERFLOW_FREE and not all(
+            np.isfinite(x).all() for x in (ric0, wplus, wminus, z_block)):
+        raise CurvatureError("the decomposition leaves the float range "
+                             "at this scale of the tensor")
     (wp_eigs, wm_eigs), (wp_vecs, wm_vecs) = np.linalg.eigh(np.stack([wplus, wminus]))
     return CurvatureDecomposition(
         s=s,
         u=u,
         ric=ric,
-        ric0=ric - (s / 4.0) * np.eye(4),
+        ric0=ric0,
         wplus=wplus,
         wminus=wminus,
         z_block=z_block,

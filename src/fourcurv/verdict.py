@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonPositiveInput, NonPositiveScalarCurvature
-from .invariants import fg_value
+from .invariants import integrand_values
 from .scan import PinchingReport, _require_same_tensor
 from .tensor import CurvatureDecomposition
 
@@ -39,7 +39,6 @@ _CLAIM_TWO = "intersection form definite; homeomorphic to #b2 CP2 or S4"
 class CornerValues:
     """f at the four vertex classes of E, by the closed-form expressions."""
 
-    delta: float
     at_ddd: float
     at_dd1: float
     at_d11: float
@@ -71,7 +70,6 @@ def f_eval(x1, x2, x3, delta: float):
 def corner_values(delta: float) -> CornerValues:
     # closed forms; f_eval at the vertices is the independent cross-check
     return CornerValues(
-        delta=delta,
         at_ddd=3.0 * delta ** 2,
         at_dd1=(8.0 * delta ** 2 + 20.0 * delta - 1.0) / 9.0,
         at_d11=(-delta ** 2 + 20.0 * delta + 8.0) / 9.0,
@@ -165,7 +163,7 @@ def theorem1_verdict(dec: CurvatureDecomposition, scan: PinchingReport,
         delta = float(min(max(scan.k_min_lower, CRITICAL_DELTA), 1.0))
         v = work.u + 0.5 * work.wp_eigs  # v_i = u + w_i+/2, as in ville_data
         fval = f_eval(v[0], v[1], v[2], delta)
-        half_fg = 0.5 * fg_value(work)
+        half_fg = 0.5 * integrand_values(work).fg
         notes.append(f"pointwise chain at delta={delta:.6g}: "
                      f"fg/2 = {half_fg:.6g} >= f(v) = {fval:.6g} >= 0")
         if half_fg < fval - 1e-9 or fval < -1e-9:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PinchingNotVerified
-from .invariants import fg_value
+from .invariants import integrand_values
 from .reporting import CheckReport
 from .scan import (SCAN_ACCURACY, PinchingReport, _require_same_tensor,
                    k1perp_closed_form, k3perp_closed_form)
@@ -47,10 +47,9 @@ _A_ROUNDING = 1e-12
 
 @dataclass
 class VilleData:
-    """Eigenbasis data for the Z-block and (deg) estimates."""
+    """Eigenbasis data for the Z-block and (deg) estimates; the H_i are the
+    columns of the decomposition's wp_vecs."""
 
-    delta: float
-    h_basis: np.ndarray      # columns H_i, coordinates in the SD basis
     k_units: tuple           # ASD coordinates of K_i, or None when undefined
     z: np.ndarray
     lambda_minus: np.ndarray
@@ -88,8 +87,6 @@ def ville_data(dec: CurvatureDecomposition, delta: float) -> VilleData:
             f"negative A_i (min {a.min():.3e}): delta={delta} is inconsistent "
             "with the pinching of this decomposition", RuntimeWarning)
     return VilleData(
-        delta=delta,
-        h_basis=dec.wp_vecs,
         k_units=tuple(k_units),
         z=z,
         lambda_minus=lam,
@@ -174,4 +171,4 @@ def deg_lower_bound(dec: CurvatureDecomposition, delta: float, *,
     v = vd.v
     bound = ((10.0 / 9.0) * v.sum() ** 2 - (4.0 / 3.0) * (v ** 2).sum()
              + 3.5 * vd.alpha ** 2 - 2.0 * (vd.a ** 2).sum())
-    return fg_value(dec), float(bound)
+    return integrand_values(dec).fg, float(bound)

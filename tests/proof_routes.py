@@ -112,8 +112,8 @@ def plane_from_vectors(x, y) -> Plane2:
     p = wedge(x, y)
     plus, minus = sd_asd_split(p)
     # |plus| = |minus| = 1/sqrt(2) for a unit decomposable form
-    return plane_from_sd_asd(Form2(plus.coeffs / plus.norm),
-                             Form2(minus.coeffs / minus.norm))
+    return plane_from_sd_asd(Form2(plus.coeffs / np.linalg.norm(plus.coeffs)),
+                             Form2(minus.coeffs / np.linalg.norm(minus.coeffs)))
 
 
 def complement(plane: Plane2) -> Plane2:
@@ -186,7 +186,7 @@ def adapted_frame(omega: Form2) -> Frame4:
     vanish there is nothing to adapt to and DegenerateForm is raised.
     """
     plus, minus = sd_asd_split(omega)
-    ap, am = plus.norm, minus.norm
+    ap, am = np.linalg.norm(plus.coeffs), np.linalg.norm(minus.coeffs)
     if max(ap, am) < 1e-15:
         raise DegenerateForm("cannot adapt a frame to the zero form")
     if ap > 1e-12 * max(1.0, am):
@@ -214,8 +214,8 @@ def intermediate_identity_check(R: RiemannTensor, omega: Form2) -> CheckReport:
     """
     frame = adapted_frame(omega)
     plus, minus = sd_asd_split(omega)
-    ap2 = plus.norm ** 2
-    am2 = minus.norm ** 2
+    ap2 = float(plus.coeffs @ plus.coeffs)
+    am2 = float(minus.coeffs @ minus.coeffs)
     rf = rotate_tensor(R, frame.columns).components
     sect = lambda i, j: rf[i, j, i, j]
     rhs = ((ap2 + am2) * (sect(0, 2) + sect(0, 3) + sect(1, 2) + sect(1, 3))

@@ -358,6 +358,15 @@ def test_non_finite_component_in_input_rejected(tmp_path, module_env):
     assert "Warning" not in proc.stderr
 
 
+def test_input_of_the_wrong_shape_rejected(tmp_path, capsys):
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({"components": np.zeros((3, 3, 3, 3)).tolist()}))
+    assert run_cli("decompose", "--input", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected shape (4,4,4,4), got (3, 3, 3, 3)" in captured.err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-1e-9", "abc"])
 def test_tol_must_be_finite_and_non_negative(capsys, value):
     assert run_cli("check", "seaman", "--samples", "2", "--tol", value) == 1
@@ -441,6 +450,9 @@ def test_decompose_text_at_extreme_scale(tmp_path, capsys):
     ("scan", "--model", "S2xS2", "--a", "1e-200"),
     ("invariants", "--model", "FlatT4", "--L", "1e100"),
     ("invariants", "--model", "S4", "--r", "1e-78"),
+    # s overflows where the components do not
+    ("decompose", "--model", "S4", "--r", "2.1e-154"),
+    ("verdict", "thm1", "--model", "S4", "--r", "2.1e-154"),
 ])
 def test_finite_input_out_of_float_range_is_an_error(module_env, argv):
     # a subprocess, so that a traceback or a warning would reach stderr

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import fourcurv as fc
-from fourcurv.models import ModelSpace
 
 
 def test_characteristic_numbers(models):
@@ -41,7 +40,7 @@ def test_euler_density_vanishes_on_s3s1():
                 comps[i, j, i, j] = 1.0
                 comps[i, j, j, i] = -1.0
     dec = fc.decompose(fc.RiemannTensor(comps))
-    assert fc.gbc_integrand(dec) == pytest.approx(0.0, abs=1e-15)
+    assert fc.integrand_values(dec).gbc == pytest.approx(0.0, abs=1e-15)
 
 
 def test_fg_recombination_identity(rng):
@@ -51,8 +50,6 @@ def test_fg_recombination_identity(rng):
         vals = fc.integrand_values(dec)
         target = 8.0 * np.pi ** 2 * (vals.gbc - 2.0 * vals.sig)
         assert abs(vals.fg - target) < 1e-12 * max(1.0, abs(vals.fg))
-        assert abs(vals.chi_minus_2tau_density
-                   - (vals.gbc - 2.0 * vals.sig)) < 1e-15
 
 
 def test_signature_bound_on_positively_curved_models(models):
@@ -61,20 +58,9 @@ def test_signature_bound_on_positively_curved_models(models):
         assert abs(tau) < chi / 2
 
 
-def test_not_homogeneous_rejected(models):
-    ms = models["S4"]
-    bumpy = ModelSpace(name="bumpy", params={}, tensor=ms.tensor,
-                       volume=1.0, lambda1=None, expected_chi=0,
-                       expected_tau=0, homogeneous=False)
-    with pytest.raises(fc.NotHomogeneous):
-        fc.homogeneous_invariants(bumpy)
-
-
 @pytest.mark.parametrize("scale", [1e160, 1e200])
 def test_integrands_out_of_float_range_raise(scale):
     # the degree-2 quantities overflow although every component is finite
     dec = fc.decompose(fc.random_algebraic_tensor(1, scale=scale))
-    for integrand in (fc.gbc_integrand, fc.signature_integrand, fc.fg_value,
-                      fc.integrand_values):
-        with pytest.raises(fc.CurvatureError, match="float range"):
-            integrand(dec)
+    with pytest.raises(fc.CurvatureError, match="float range"):
+        fc.integrand_values(dec)

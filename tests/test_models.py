@@ -64,7 +64,6 @@ def test_model_names_cover_factory():
     for name in fc.model_names():
         m = fc.model(name)
         assert m.name == name
-        assert m.homogeneous
         assert fc.validate_symmetries(m.tensor).max_residual == 0.0
 
 

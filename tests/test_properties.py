@@ -87,8 +87,8 @@ def test_orientation_reversal(seed, exponent):
     assert np.abs(b.wp_eigs - a.wm_eigs).max() <= tol
     assert np.abs(b.wm_eigs - a.wp_eigs).max() <= tol
     # 12 pi^2 tau-integrand = |W+|^2 - |W-|^2 is quadratic in R
-    sig = 12.0 * np.pi ** 2 * np.array([fc.signature_integrand(a),
-                                        fc.signature_integrand(b)])
+    sig = 12.0 * np.pi ** 2 * np.array([fc.integrand_values(a).sig,
+                                        fc.integrand_values(b).sig])
     assert abs(sig[0] + sig[1]) <= 1e-12 * _norm(R) ** 2
     sa, sb = fc.scan_extremes(R), fc.scan_extremes(reflected)
     for field in ("k_min", "k_max", "k1perp", "k3perp"):

@@ -222,6 +222,22 @@ def test_non_finite_components_rejected(bad):
         fc.RiemannTensor(c)
 
 
+@pytest.mark.filterwarnings("error")
+def test_decompose_out_of_float_range_raises():
+    # every component is finite, but s sums 12 of them and overflows, which
+    # left nan blocks for eigh; the error must come with no RuntimeWarning
+    with pytest.raises(fc.CurvatureError, match="float range"):
+        fc.decompose(fc.model("S4", r=2.1e-154).tensor)
+
+
+def test_decompose_near_the_float_range():
+    # max|R| = 1.1e307 is past the bound below which nothing can overflow,
+    # but no block does
+    dec = fc.decompose(fc.model("S4", r=3e-154).tensor)
+    assert dec.s == pytest.approx(12.0 / 3e-154 ** 2, rel=1e-12)
+    assert np.abs(dec.wplus).max() <= 1e-15 * dec.s
+
+
 def test_max_abs_is_max_of_the_components(rng):
     # bit for bit, on random tensors at 1e+-200, rotated models and pinched
     # samples

@@ -41,7 +41,7 @@ def test_ville_data_einstein_product(model_decs):
 def test_ville_data_h_basis_orthonormal(pinched_batch):
     _, dec, scan = pinched_batch[0]
     vd = fc.ville_data(dec, scan.delta)
-    assert np.allclose(vd.h_basis.T @ vd.h_basis, np.eye(3), atol=1e-12)
+    assert np.allclose(dec.wp_vecs.T @ dec.wp_vecs, np.eye(3), atol=1e-12)
     for i, k in enumerate(vd.k_units):
         if k is not None:
             assert abs(np.linalg.norm(k) - 1.0) < 1e-12
@@ -143,6 +143,17 @@ def test_znorm_bound_s4_equality(model_decs, model_scans):
     assert report.metrics["bound"] == pytest.approx(0.0, abs=1e-12)
     # A_i is -1.1e-16 here, rounding of the equality, not a disagreement
     assert report.notes == ()
+
+
+def test_znorm_bound_notes_a_negative_a(model_decs, model_scans):
+    # delta = 1 + 5e-7 is verified inside the SCAN_ACCURACY margin, but every
+    # v_i = 1 lies below it, so A_i = 1 - delta = -5e-7
+    with pytest.warns(RuntimeWarning, match="negative A_i"):
+        report = fc.znorm_bound_check(model_decs["S4"], 1.0 + 5e-7,
+                                      scan=model_scans["S4"])
+    assert report.passed
+    assert report.notes == ("negative A_i: pinching level and decomposition "
+                            "disagree",)
 
 
 def test_znorm_bound_on_pinched_samples(pinched_batch):
